@@ -284,6 +284,19 @@ opsMicroMain(int argc, char **argv)
                   2.0 * 16 * 128 * 128 * 64,
                   [&] { tensor::matmulNT(q, k); });
     }
+    {
+        // cmu-mosei's attention at batch 8 (32 = batch x 4 heads, 24
+        // steps, head dim 8): scores QK^T read K strided, and the
+        // AV product has N = 8, narrower than one micro-tile.
+        Tensor q = Tensor::randn(Shape{32, 24, 8}, rng);
+        Tensor k = Tensor::randn(Shape{32, 24, 8}, rng);
+        h.compute("gemm_small_nt", "32x(24x8)^T", 2.0 * 32 * 24 * 24 * 8,
+                  [&] { tensor::matmulNT(q, k); });
+        Tensor p = Tensor::randn(Shape{32, 24, 48}, rng);
+        Tensor v = Tensor::randn(Shape{32, 48, 8}, rng);
+        h.compute("gemm_small_n8", "32x(24x48)(48x8)",
+                  2.0 * 32 * 24 * 48 * 8, [&] { tensor::matmul(p, v); });
+    }
 
     // --- Reduced-precision GEMM/conv (the dtype axis) ---------------
     // Operands pre-lowered outside the timed region, so the rows
@@ -411,6 +424,9 @@ opsMicroMain(int argc, char **argv)
         h.bandwidth("elementwise_add", "1M", 12.0 * n,
                     [&] { tensor::add(a, b); });
         h.compute("gelu", "1M", 8.0 * n, [&] { tensor::geluF(a); });
+        h.compute("tanh_1M", "1M", 4.0 * n, [&] { tensor::tanhF(a); });
+        h.compute("sigmoid_1M", "1M", 4.0 * n,
+                  [&] { tensor::sigmoidF(a); });
     }
     {
         Tensor a = Tensor::randn(Shape{64, 256}, rng);
@@ -422,6 +438,19 @@ opsMicroMain(int argc, char **argv)
         Tensor a = Tensor::randn(Shape{256, 1024}, rng);
         h.compute("softmax", "256x1024", 5.0 * 256 * 1024,
                   [&] { tensor::softmaxLast(a); });
+    }
+    {
+        // Attention-score rows of cmu-mosei: 8 x 4 heads x 24 queries.
+        Tensor a = Tensor::randn(Shape{768, 24}, rng);
+        h.compute("softmax_768x24", "768x24", 5.0 * 768 * 24,
+                  [&] { tensor::softmaxLast(a); });
+    }
+    {
+        // splitHeads: (batch, steps, heads, head dim) -> heads first.
+        Tensor a = Tensor::randn(Shape{8, 24, 4, 8}, rng);
+        h.bandwidth("permute_heads", "(8,24,4,8)->(8,4,24,8)",
+                    8.0 * 8 * 24 * 4 * 8,
+                    [&] { tensor::permute(a, {0, 2, 1, 3}); });
     }
     {
         Tensor x = Tensor::randn(Shape{512, 768}, rng);

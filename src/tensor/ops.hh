@@ -22,6 +22,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -34,11 +35,11 @@ namespace tensor {
  * @name Fused-epilogue support
  *
  * Activation applied inside a producer kernel's write-back (the
- * solver registry's fused GEMM/conv/norm variants). applyAct must
- * stay expression-identical to the standalone unary kernels in
- * ops_elementwise.cc: the fused kernels read the fully accumulated
- * output element and apply the very same float operations, so a
- * fused ReLU epilogue is bitwise identical to the separate pass.
+ * solver registry's fused GEMM/conv/norm variants). applyAct is the
+ * one definition of each activation: the standalone unary kernels in
+ * ops_elementwise.cc call it too, and the fused kernels apply it to
+ * the fully accumulated output element, so a fused epilogue is
+ * bitwise identical to the separate pass.
  * @{
  */
 enum class ActKind : uint8_t
@@ -67,7 +68,99 @@ actFlops(ActKind act)
     return 0;
 }
 
-/** The exact per-element math of the standalone activation kernels. */
+namespace detail {
+
+inline uint32_t
+floatBits(float x)
+{
+    uint32_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+inline float
+bitsFloat(uint32_t u)
+{
+    float x;
+    std::memcpy(&x, &u, sizeof x);
+    return x;
+}
+
+} // namespace detail
+
+/**
+ * e^x within 2 ulp of the exact value wherever the result is a normal
+ * float; subnormal results are correctly rounded from the same
+ * approximation, +inf -> +inf, -inf -> 0, NaN -> NaN. Branch-free
+ * (clamps and selects only), so GCC vectorizes loops that call it;
+ * libm's expf is a scalar call per element.
+ */
+inline float
+vexp(float x)
+{
+    // NaN fails both compares and passes through. Below -104 the
+    // result rounds to 0; above 88.73 it overflows to inf.
+    x = x < -104.0f ? -104.0f : x;
+    x = x > 88.73f ? 88.73f : x;
+    // k = round(x / ln2) by the 1.5*2^23 shifter: adding it leaves k
+    // in the low mantissa bits. std::floor or a float->int cast in
+    // this spot stops GCC from vectorizing the caller's loop.
+    const float shifter = 12582912.0f;
+    const float t = x * 1.44269504088896341f + shifter;
+    const float kf = t - shifter;
+    const int32_t k = static_cast<int32_t>(detail::floatBits(t) -
+                                           detail::floatBits(shifter));
+    // r = x - k*ln2 in two steps (Cody-Waite), |r| <= ln2/2.
+    float r = x - kf * 0.693359375f;
+    r = r - kf * -2.12194440e-4f;
+    // e^r: the Cephes expf minimax polynomial.
+    float p = 1.9875691500e-4f;
+    p = p * r + 1.3981999507e-3f;
+    p = p * r + 8.3334519073e-3f;
+    p = p * r + 4.1665795894e-2f;
+    p = p * r + 1.6666665459e-1f;
+    p = p * r + 5.0000001201e-1f;
+    const float er = p * (r * r) + r + 1.0f;
+    // Scale by 2^k as two powers of two: k spans [-150, 128], wider
+    // than one normal exponent field, and the second multiply rounds
+    // once into the subnormal or overflow range.
+    const int32_t k1 = k / 2;
+    const float s1 = detail::bitsFloat(static_cast<uint32_t>(k1 + 127) << 23);
+    const float s2 =
+        detail::bitsFloat(static_cast<uint32_t>(k - k1 + 127) << 23);
+    return er * s1 * s2;
+}
+
+/**
+ * tanh(x) within 4 ulp wherever the result is normal; tanh(+-inf) =
+ * +-1, NaN -> NaN. Branch-free like vexp: both halves are computed and
+ * one is selected.
+ */
+inline float
+vtanh(float x)
+{
+    const float ax = std::fabs(x);
+    // Near 0, 1 - 2/(e^2x + 1) cancels catastrophically; use the
+    // Cephes odd polynomial there instead.
+    const float z = ax * ax;
+    float p = -5.70498872745e-3f;
+    p = p * z + 2.06390887954e-2f;
+    p = p * z - 5.37397155531e-2f;
+    p = p * z + 1.33314422036e-1f;
+    p = p * z - 3.33332819422e-1f;
+    const float small = p * z * ax + ax;
+    const float large = 1.0f - 2.0f / (vexp(2.0f * ax) + 1.0f);
+    return std::copysign(ax < 0.625f ? small : large, x);
+}
+
+/**
+ * The per-element math of the activation kernels, defined once: the
+ * standalone sigmoidF/tanhF/geluF/reluF kernels and every fused
+ * epilogue call this function, so fused and unfused activations are
+ * bitwise equal by construction. Sigmoid, Tanh and Gelu go through
+ * vexp/vtanh: a vectorized approximation within a few ulp of libm,
+ * not bitwise equal to it.
+ */
 inline float
 applyAct(ActKind act, float x)
 {
@@ -77,14 +170,14 @@ applyAct(ActKind act, float x)
       case ActKind::Relu:
         return x > 0.0f ? x : 0.0f;
       case ActKind::Sigmoid:
-        return 1.0f / (1.0f + std::exp(-x));
+        return 1.0f / (1.0f + vexp(-x));
       case ActKind::Tanh:
-        return std::tanh(x);
+        return vtanh(x);
       case ActKind::Gelu: {
         // tanh approximation of GELU, as used by most frameworks.
         const float c = 0.7978845608f; // sqrt(2/pi)
         const float inner = c * (x + 0.044715f * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
+        return 0.5f * x * (1.0f + vtanh(inner));
       }
     }
     return x;
@@ -288,8 +381,9 @@ Tensor layernormBackward(const Tensor &grad_out, const Tensor &x,
  * Fig. 8 class breakdown stays comparable across --fusion on|off.
  * With GemmAlgo/ConvAlgo::Auto and ActKind::Relu the results are
  * bitwise identical to the unfused kernel sequence (the epilogue reads
- * the fully accumulated element and applies the exact same float ops);
- * other activations and non-default algos are epsilon-equivalent.
+ * the fully accumulated element and applies the same applyAct), and
+ * so is linearAct with any activation; other combinations and
+ * non-default algos are epsilon-equivalent.
  */
 /**
  * act(x @ w + b): fused GEMM + bias + activation. b may be undefined

@@ -45,10 +45,13 @@ struct Epilogue
 
 /**
  * C[M,N] += A[M,K] * B[K,N] with cache blocking and packed panels;
- * C is contiguous row-major (ldc = n). Parallelizes over row blocks
- * unless called from inside a parallel region. Deterministic for any
- * thread count. Implemented in ops_matmul.cc; conv2d's im2col path
- * reuses it.
+ * C is contiguous row-major (ldc = n). Small problems with unit-stride
+ * B at least 16 columns wide take a plain row loop instead; strided B
+ * (matmulNT) and narrow N always pack. Parallelizes over row blocks
+ * when there is more than one, unless called from inside a parallel
+ * region. Deterministic for any thread count, and each element is
+ * bitwise the same on either path. Implemented in ops_matmul.cc;
+ * conv2d's im2col path reuses it.
  *
  * When `epi` is non-null its bias/activation are applied to each
  * output element exactly once, immediately after the element's last
@@ -79,9 +82,8 @@ struct DtOperand
  * gemmBlocked over dtype-tagged operands: identical blocking, packing
  * and ascending k-order (deterministic for any thread count), with
  * f32 accumulation throughout. The element conversions run inside the
- * pack loops, so the register micro-kernel is reused unchanged; with
- * two F32 operands this forwards to gemmBlocked and is bitwise
- * identical to it.
+ * pack loops, so the register micro-kernel is reused unchanged;
+ * gemmBlocked is its case with two F32 operands.
  */
 void gemmBlockedDt(const DtOperand &a, const DtOperand &b, float *c,
                    int64_t m, int64_t k, int64_t n,

@@ -197,8 +197,8 @@ neg(const Tensor &a)
 Tensor
 reluF(const Tensor &a)
 {
-    return unaryOp(a, [](float x) { return x > 0.0f ? x : 0.0f; }, "relu",
-                   trace::KernelClass::Relu);
+    return unaryOp(a, [](float x) { return applyAct(ActKind::Relu, x); },
+                   "relu", trace::KernelClass::Relu);
 }
 
 Tensor
@@ -211,27 +211,25 @@ gtZeroMask(const Tensor &a)
 Tensor
 sigmoidF(const Tensor &a)
 {
-    return unaryOp(a, [](float x) {
-        return 1.0f / (1.0f + std::exp(-x));
-    }, "sigmoid", trace::KernelClass::Elewise, 4);
+    return unaryOp(a, [](float x) { return applyAct(ActKind::Sigmoid, x); },
+                   "sigmoid", trace::KernelClass::Elewise,
+                   actFlops(ActKind::Sigmoid));
 }
 
 Tensor
 tanhF(const Tensor &a)
 {
-    return unaryOp(a, [](float x) { return std::tanh(x); }, "tanh",
-                   trace::KernelClass::Elewise, 4);
+    return unaryOp(a, [](float x) { return applyAct(ActKind::Tanh, x); },
+                   "tanh", trace::KernelClass::Elewise,
+                   actFlops(ActKind::Tanh));
 }
 
 Tensor
 geluF(const Tensor &a)
 {
-    // tanh approximation of GELU, as used by most frameworks.
-    return unaryOp(a, [](float x) {
-        const float c = 0.7978845608f; // sqrt(2/pi)
-        float inner = c * (x + 0.044715f * x * x * x);
-        return 0.5f * x * (1.0f + std::tanh(inner));
-    }, "gelu", trace::KernelClass::Elewise, 8);
+    return unaryOp(a, [](float x) { return applyAct(ActKind::Gelu, x); },
+                   "gelu", trace::KernelClass::Elewise,
+                   actFlops(ActKind::Gelu));
 }
 
 Tensor

@@ -44,45 +44,15 @@ constexpr int64_t KC = 256;
 constexpr int64_t NC = 1024;
 /**
  * Below this many multiply-adds the packing overhead outweighs the
- * micro-kernel win; a plain i-k-j loop runs instead.
+ * micro-kernel win for unit-stride, wide-N problems; a plain i-k-j
+ * loop runs instead (see useRowLoop).
  */
 constexpr int64_t kSmallGemmMacLimit = 1 << 16;
 
-/** Pack up to MR rows [i0, i0+mr) x [0, kc) of A into panel layout. */
-void
-packA(const GemmOperand &a, int64_t i0, int64_t mr, int64_t p0, int64_t kc,
-      float *dst)
-{
-    for (int64_t kk = 0; kk < kc; ++kk) {
-        const float *col = a.p + (p0 + kk) * a.cs + i0 * a.rs;
-        float *out = dst + kk * MR;
-        int64_t i = 0;
-        for (; i < mr; ++i)
-            out[i] = col[i * a.rs];
-        for (; i < MR; ++i)
-            out[i] = 0.0f;
-    }
-}
-
-/** Pack up to NR cols [j0, j0+nr) x [0, kc) of B into panel layout. */
-void
-packB(const GemmOperand &b, int64_t j0, int64_t nr, int64_t p0, int64_t kc,
-      float *dst)
-{
-    for (int64_t kk = 0; kk < kc; ++kk) {
-        const float *row = b.p + (p0 + kk) * b.rs + j0 * b.cs;
-        float *out = dst + kk * NR;
-        int64_t j = 0;
-        for (; j < nr; ++j)
-            out[j] = row[j * b.cs];
-        for (; j < NR; ++j)
-            out[j] = 0.0f;
-    }
-}
-
 /**
- * Per-dtype element loader for the converting pack loops: reads one
- * stored element and widens it to float (dequantizing i8 by `scale`).
+ * Per-dtype element loader for the pack loops and the row loop: reads
+ * one stored element and widens it to float (dequantizing i8 by
+ * `scale`; a plain load for f32).
  */
 template <DType DT> struct ElemLoader;
 template <> struct ElemLoader<DType::F32>
@@ -130,7 +100,10 @@ dispatchDType(DType dt, Fn &&fn)
     }
 }
 
-/** packA over a dtype-tagged operand: convert while packing. */
+/**
+ * Pack up to MR rows [i0, i0+mr) x [0, kc) of A into panel layout,
+ * converting each element to f32.
+ */
 template <DType DT>
 void
 packADtT(const detail::DtOperand &a, int64_t i0, int64_t mr, int64_t p0,
@@ -158,7 +131,7 @@ packADt(const detail::DtOperand &a, int64_t i0, int64_t mr, int64_t p0,
     });
 }
 
-/** packB over a dtype-tagged operand: convert while packing. */
+/** Pack up to NR cols [j0, j0+nr) x [0, kc) of B, likewise. */
 template <DType DT>
 void
 packBDtT(const detail::DtOperand &b, int64_t j0, int64_t nr, int64_t p0,
@@ -288,54 +261,48 @@ applyEpilogueRow(float *crow, const Epilogue &epi, int64_t j0, int64_t j1)
     });
 }
 
-} // namespace
+/**
+ * True when the plain row loop beats packing: a small problem whose B
+ * rows are unit-stride and at least one micro-tile wide. Strided B
+ * (matmulNT) or narrow N (attention's AV product) makes the row loop's
+ * inner j loop short or gathered, so those go through the packed
+ * micro-kernel at any size. Both paths accumulate each element in the
+ * same k order with the same contraction, so the choice never changes
+ * a result bit.
+ */
+bool
+useRowLoop(int64_t b_cs, int64_t m, int64_t k, int64_t n)
+{
+    return m * n * k <= kSmallGemmMacLimit && b_cs == 1 && n >= NR;
+}
+
+/** Grow-only per-thread pack buffer; gemmPacked never nests. */
+float *
+packBuffer(std::vector<float> &buf, int64_t floats)
+{
+    if (buf.size() < static_cast<size_t>(floats))
+        buf.resize(static_cast<size_t>(floats));
+    return buf.data();
+}
+
+thread_local std::vector<float> t_apack;
+thread_local std::vector<float> t_bpack;
 
 /**
- * C[M,N] += A[M,K] * B[K,N] with cache blocking and packed panels.
- * C is contiguous row-major with leading dimension n. Parallelizes
- * over MC row blocks (disjoint C rows; deterministic).
+ * The packed path: A and B are converted to f32 panels, the B panels
+ * in the calling thread's buffer and A in each worker's own. MC row
+ * blocks run in parallel unless the problem fits one block.
  */
 void
-gemmBlocked(const GemmOperand &a, const GemmOperand &b, float *c,
-            int64_t m, int64_t k, int64_t n, const Epilogue *epi)
+gemmPacked(const DtOperand &a, const DtOperand &b, float *c, int64_t m,
+           int64_t k, int64_t n, const Epilogue *epi)
 {
-    if (m * n * k <= kSmallGemmMacLimit) {
-        // The k loop is chunked by KC with a per-chunk accumulator
-        // flushed into C, mirroring the blocked path's k-grouping:
-        // each output row is then bitwise identical whichever side of
-        // the (m-dependent) size cutoff a problem lands on, so growing
-        // a batch mid-flight cannot perturb the surviving rows.
-        constexpr int64_t JB = 512;
-        float acc[JB];
-        for (int64_t i = 0; i < m; ++i) {
-            float *crow = c + i * n;
-            for (int64_t jb = 0; jb < n; jb += JB) {
-                const int64_t jn = std::min(JB, n - jb);
-                for (int64_t pc = 0; pc < k; pc += KC) {
-                    const int64_t kc = std::min(KC, k - pc);
-                    for (int64_t j = 0; j < jn; ++j)
-                        acc[j] = 0.0f;
-                    for (int64_t kk = pc; kk < pc + kc; ++kk) {
-                        const float aik = a.p[i * a.rs + kk * a.cs];
-                        const float *brow = b.p + kk * b.rs;
-                        for (int64_t j = 0; j < jn; ++j)
-                            acc[j] += aik * brow[(jb + j) * b.cs];
-                    }
-                    for (int64_t j = 0; j < jn; ++j)
-                        crow[jb + j] += acc[j];
-                }
-            }
-            if (epi != nullptr)
-                applyEpilogueRow(crow, *epi, 0, n);
-        }
-        return;
-    }
-
     // Pack-buffer extents for this problem (<= the blocking maxima).
     const int64_t kc_max = std::min(KC, k);
     const int64_t bpanels = (std::min(NC, n) + NR - 1) / NR;
     const int64_t apanels = (std::min(MC, m) + MR - 1) / MR;
-    std::vector<float> bpack(static_cast<size_t>(bpanels) * kc_max * NR);
+    float *bpack = packBuffer(t_bpack, bpanels * kc_max * NR);
+    const int64_t blocks = (m + MC - 1) / MC;
     for (int64_t jc = 0; jc < n; jc += NC) {
         const int64_t nc = std::min(NC, n - jc);
         const int64_t npanels = (nc + NR - 1) / NR;
@@ -343,30 +310,28 @@ gemmBlocked(const GemmOperand &a, const GemmOperand &b, float *c,
             const int64_t kc = std::min(KC, k - pc);
             for (int64_t q = 0; q < npanels; ++q) {
                 const int64_t j0 = jc + q * NR;
-                packB(b, j0, std::min(NR, jc + nc - j0), pc, kc,
-                      bpack.data() + q * kc_max * NR);
+                packBDt(b, j0, std::min(NR, jc + nc - j0), pc, kc,
+                        bpack + q * kc_max * NR);
             }
-            core::parallelFor(0, (m + MC - 1) / MC, 1,
-                              [&](int64_t blk0, int64_t blk1) {
-                std::vector<float> apack(
-                    static_cast<size_t>(apanels) * kc_max * MR);
+            const auto rowBlocks = [&](int64_t blk0, int64_t blk1) {
+                float *apack = packBuffer(t_apack, apanels * kc_max * MR);
                 for (int64_t blk = blk0; blk < blk1; ++blk) {
                     const int64_t ic = blk * MC;
                     const int64_t mc = std::min(MC, m - ic);
                     const int64_t mpanels = (mc + MR - 1) / MR;
                     for (int64_t p = 0; p < mpanels; ++p) {
                         const int64_t i0 = ic + p * MR;
-                        packA(a, i0, std::min(MR, ic + mc - i0), pc, kc,
-                              apack.data() + p * kc_max * MR);
+                        packADt(a, i0, std::min(MR, ic + mc - i0), pc, kc,
+                                apack + p * kc_max * MR);
                     }
                     for (int64_t q = 0; q < npanels; ++q) {
                         const int64_t j0 = jc + q * NR;
                         const int64_t nr = std::min(NR, jc + nc - j0);
                         for (int64_t p = 0; p < mpanels; ++p) {
                             const int64_t i0 = ic + p * MR;
-                            microKernel(apack.data() + p * kc_max * MR,
-                                        bpack.data() + q * kc_max * NR,
-                                        kc, c + i0 * n + j0, n,
+                            microKernel(apack + p * kc_max * MR,
+                                        bpack + q * kc_max * NR, kc,
+                                        c + i0 * n + j0, n,
                                         std::min(MR, ic + mc - i0), nr);
                         }
                     }
@@ -379,115 +344,92 @@ gemmBlocked(const GemmOperand &a, const GemmOperand &b, float *c,
                             applyEpilogueRow(c + i * n, *epi, jc, jc + nc);
                     }
                 }
-            });
+            };
+            if (blocks == 1)
+                rowBlocks(0, 1);
+            else
+                core::parallelFor(0, blocks, 1, rowBlocks);
         }
     }
 }
 
 /**
- * The dtype-tagged twin of gemmBlocked: same blocking, same packed
- * panels, same micro-kernel, same ascending k-order — only the pack
- * loops read through converting loaders. F32 x F32 forwards to the
- * plain kernel (bitwise identical).
+ * The plain row loop for small problems (see useRowLoop), reading both
+ * operands through their dtype loaders. The k loop is chunked by KC
+ * with a per-chunk accumulator flushed into C, mirroring the packed
+ * path's k-grouping: each output row is then bitwise identical
+ * whichever side of the (m-dependent) size cutoff a problem lands on,
+ * so growing a batch mid-flight cannot perturb the surviving rows.
+ */
+template <DType DA, DType DB>
+void
+gemmRows(const DtOperand &a, const DtOperand &b, float *c, int64_t m,
+         int64_t k, int64_t n, const Epilogue *epi)
+{
+    typedef ElemLoader<DA> LA;
+    typedef ElemLoader<DB> LB;
+    const typename LA::T *pa = static_cast<const typename LA::T *>(a.p);
+    const typename LB::T *pb = static_cast<const typename LB::T *>(b.p);
+    constexpr int64_t JB = 512;
+    float acc[JB];
+    for (int64_t i = 0; i < m; ++i) {
+        float *crow = c + i * n;
+        for (int64_t jb = 0; jb < n; jb += JB) {
+            const int64_t jn = std::min(JB, n - jb);
+            for (int64_t pc = 0; pc < k; pc += KC) {
+                const int64_t kc = std::min(KC, k - pc);
+                for (int64_t j = 0; j < jn; ++j)
+                    acc[j] = 0.0f;
+                for (int64_t kk = pc; kk < pc + kc; ++kk) {
+                    const float aik =
+                        LA::load(pa + i * a.rs + kk * a.cs, a.scale);
+                    const typename LB::T *brow = pb + kk * b.rs;
+                    for (int64_t j = 0; j < jn; ++j)
+                        acc[j] += aik * LB::load(brow + (jb + j) * b.cs,
+                                                 b.scale);
+                }
+                for (int64_t j = 0; j < jn; ++j)
+                    crow[jb + j] += acc[j];
+            }
+        }
+        if (epi != nullptr)
+            applyEpilogueRow(crow, *epi, 0, n);
+    }
+}
+
+} // namespace
+
+/**
+ * C[M,N] += A[M,K] * B[K,N]: the f32 case of gemmBlockedDt, whose
+ * F32 loaders are plain loads.
+ */
+void
+gemmBlocked(const GemmOperand &a, const GemmOperand &b, float *c,
+            int64_t m, int64_t k, int64_t n, const Epilogue *epi)
+{
+    gemmBlockedDt(DtOperand{a.p, a.rs, a.cs}, DtOperand{b.p, b.rs, b.cs},
+                  c, m, k, n, epi);
+}
+
+/**
+ * C[M,N] += A[M,K] * B[K,N] over dtype-tagged operands: small problems
+ * take the row loop, everything else the packed micro-kernel, whose
+ * pack loops convert each element to f32 as they copy it.
  */
 void
 gemmBlockedDt(const DtOperand &a, const DtOperand &b, float *c, int64_t m,
               int64_t k, int64_t n, const Epilogue *epi)
 {
-    if (a.dt == DType::F32 && b.dt == DType::F32) {
-        const GemmOperand oa{static_cast<const float *>(a.p), a.rs, a.cs};
-        const GemmOperand ob{static_cast<const float *>(b.p), b.rs, b.cs};
-        gemmBlocked(oa, ob, c, m, k, n, epi);
-        return;
-    }
-
-    if (m * n * k <= kSmallGemmMacLimit) {
+    if (useRowLoop(b.cs, m, k, n)) {
         dispatchDType(a.dt, [&](auto adtc) {
             dispatchDType(b.dt, [&](auto bdtc) {
-                typedef ElemLoader<decltype(adtc)::value> LA;
-                typedef ElemLoader<decltype(bdtc)::value> LB;
-                const typename LA::T *pa =
-                    static_cast<const typename LA::T *>(a.p);
-                const typename LB::T *pb =
-                    static_cast<const typename LB::T *>(b.p);
-                // Same KC-chunked accumulation as the f32 small path:
-                // keeps rows bitwise stable across the size cutoff.
-                constexpr int64_t JB = 512;
-                float acc[JB];
-                for (int64_t i = 0; i < m; ++i) {
-                    float *crow = c + i * n;
-                    for (int64_t jb = 0; jb < n; jb += JB) {
-                        const int64_t jn = std::min(JB, n - jb);
-                        for (int64_t pc = 0; pc < k; pc += KC) {
-                            const int64_t kc = std::min(KC, k - pc);
-                            for (int64_t j = 0; j < jn; ++j)
-                                acc[j] = 0.0f;
-                            for (int64_t kk = pc; kk < pc + kc; ++kk) {
-                                const float aik = LA::load(
-                                    pa + i * a.rs + kk * a.cs, a.scale);
-                                const typename LB::T *brow = pb + kk * b.rs;
-                                for (int64_t j = 0; j < jn; ++j)
-                                    acc[j] += aik * LB::load(
-                                        brow + (jb + j) * b.cs, b.scale);
-                            }
-                            for (int64_t j = 0; j < jn; ++j)
-                                crow[jb + j] += acc[j];
-                        }
-                    }
-                    if (epi != nullptr)
-                        applyEpilogueRow(crow, *epi, 0, n);
-                }
+                gemmRows<decltype(adtc)::value, decltype(bdtc)::value>(
+                    a, b, c, m, k, n, epi);
             });
         });
         return;
     }
-
-    const int64_t kc_max = std::min(KC, k);
-    const int64_t bpanels = (std::min(NC, n) + NR - 1) / NR;
-    const int64_t apanels = (std::min(MC, m) + MR - 1) / MR;
-    std::vector<float> bpack(static_cast<size_t>(bpanels) * kc_max * NR);
-    for (int64_t jc = 0; jc < n; jc += NC) {
-        const int64_t nc = std::min(NC, n - jc);
-        const int64_t npanels = (nc + NR - 1) / NR;
-        for (int64_t pc = 0; pc < k; pc += KC) {
-            const int64_t kc = std::min(KC, k - pc);
-            for (int64_t q = 0; q < npanels; ++q) {
-                const int64_t j0 = jc + q * NR;
-                packBDt(b, j0, std::min(NR, jc + nc - j0), pc, kc,
-                        bpack.data() + q * kc_max * NR);
-            }
-            core::parallelFor(0, (m + MC - 1) / MC, 1,
-                              [&](int64_t blk0, int64_t blk1) {
-                std::vector<float> apack(
-                    static_cast<size_t>(apanels) * kc_max * MR);
-                for (int64_t blk = blk0; blk < blk1; ++blk) {
-                    const int64_t ic = blk * MC;
-                    const int64_t mc = std::min(MC, m - ic);
-                    const int64_t mpanels = (mc + MR - 1) / MR;
-                    for (int64_t p = 0; p < mpanels; ++p) {
-                        const int64_t i0 = ic + p * MR;
-                        packADt(a, i0, std::min(MR, ic + mc - i0), pc, kc,
-                                apack.data() + p * kc_max * MR);
-                    }
-                    for (int64_t q = 0; q < npanels; ++q) {
-                        const int64_t j0 = jc + q * NR;
-                        const int64_t nr = std::min(NR, jc + nc - j0);
-                        for (int64_t p = 0; p < mpanels; ++p) {
-                            const int64_t i0 = ic + p * MR;
-                            microKernel(apack.data() + p * kc_max * MR,
-                                        bpack.data() + q * kc_max * NR,
-                                        kc, c + i0 * n + j0, n,
-                                        std::min(MR, ic + mc - i0), nr);
-                        }
-                    }
-                    if (epi != nullptr && pc + kc >= k) {
-                        for (int64_t i = ic; i < ic + mc; ++i)
-                            applyEpilogueRow(c + i * n, *epi, jc, jc + nc);
-                    }
-                }
-            });
-        }
-    }
+    gemmPacked(a, b, c, m, k, n, epi);
 }
 
 } // namespace detail

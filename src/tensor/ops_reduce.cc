@@ -86,6 +86,54 @@ reduceAxis(const Tensor &a, int axis, bool keepdim, float init, F f,
     return out;
 }
 
+/** Independent partial sums/maxima per softmax row: one AVX vector. */
+constexpr int64_t kRowLanes = 8;
+
+/** Largest element of a non-empty row, reduced in kRowLanes lanes. */
+float
+rowMax(const float *__restrict row, int64_t cols)
+{
+    float lanes[kRowLanes];
+    for (int64_t l = 0; l < kRowLanes; ++l)
+        lanes[l] = row[0];
+    int64_t c = 0;
+    for (; c + kRowLanes <= cols; c += kRowLanes) {
+        for (int64_t l = 0; l < kRowLanes; ++l)
+            lanes[l] = std::max(lanes[l], row[c + l]);
+    }
+    float mx = row[0];
+    for (; c < cols; ++c)
+        mx = std::max(mx, row[c]);
+    for (int64_t l = 0; l < kRowLanes; ++l)
+        mx = std::max(mx, lanes[l]);
+    return mx;
+}
+
+/**
+ * orow[c] = e^(row[c] - mx); returns the row sum, accumulated in
+ * kRowLanes partial sums combined in a fixed order, so the result does
+ * not depend on the thread count.
+ */
+float
+expShiftRow(const float *__restrict row, float *__restrict orow,
+            int64_t cols, float mx)
+{
+    for (int64_t c = 0; c < cols; ++c)
+        orow[c] = vexp(row[c] - mx);
+    float lanes[kRowLanes] = {};
+    int64_t c = 0;
+    for (; c + kRowLanes <= cols; c += kRowLanes) {
+        for (int64_t l = 0; l < kRowLanes; ++l)
+            lanes[l] += orow[c + l];
+    }
+    float sum = 0.0f;
+    for (; c < cols; ++c)
+        sum += orow[c];
+    for (int64_t l = 0; l < kRowLanes; ++l)
+        sum += lanes[l];
+    return sum;
+}
+
 } // namespace
 
 Tensor
@@ -182,15 +230,8 @@ softmaxLast(const Tensor &a)
         for (int64_t r = r0; r < r1; ++r) {
             const float *row = pa + r * cols;
             float *orow = po + r * cols;
-            float mx = row[0];
-            for (int64_t c = 1; c < cols; ++c)
-                mx = std::max(mx, row[c]);
-            double denom = 0.0;
-            for (int64_t c = 0; c < cols; ++c) {
-                orow[c] = std::exp(row[c] - mx);
-                denom += orow[c];
-            }
-            const float inv = static_cast<float>(1.0 / denom);
+            const float inv =
+                1.0f / expShiftRow(row, orow, cols, rowMax(row, cols));
             for (int64_t c = 0; c < cols; ++c)
                 orow[c] *= inv;
         }
@@ -214,13 +255,10 @@ logSoftmaxLast(const Tensor &a)
         for (int64_t r = r0; r < r1; ++r) {
             const float *row = pa + r * cols;
             float *orow = po + r * cols;
-            float mx = row[0];
-            for (int64_t c = 1; c < cols; ++c)
-                mx = std::max(mx, row[c]);
-            double denom = 0.0;
-            for (int64_t c = 0; c < cols; ++c)
-                denom += std::exp(row[c] - mx);
-            const float log_denom = static_cast<float>(std::log(denom)) + mx;
+            // The exponentials land in orow only as scratch.
+            const float mx = rowMax(row, cols);
+            const float log_denom =
+                std::log(expShiftRow(row, orow, cols, mx)) + mx;
             for (int64_t c = 0; c < cols; ++c)
                 orow[c] = row[c] - log_denom;
         }

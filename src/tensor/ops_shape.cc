@@ -50,20 +50,31 @@ permute(const Tensor &a, const std::vector<int> &order)
     }
     Tensor out{Shape(out_dims)};
 
+    // Trailing axes that keep their place (splitHeads/mergeHeads keep
+    // the head dim innermost) are contiguous runs in both tensors: the
+    // odometer walks only the axes before them and copies whole runs.
+    size_t outer = nd;
+    while (outer > 0 && order[outer - 1] == static_cast<int>(outer - 1))
+        --outer;
+    int64_t run = 1;
+    for (size_t d = outer; d < nd; ++d)
+        run *= out_dims[d];
+
     std::vector<int64_t> in_strides = a.shape().strides();
     // Stride in the input for each output axis.
-    std::vector<int64_t> walk(nd);
-    for (size_t i = 0; i < nd; ++i)
+    std::vector<int64_t> walk(outer);
+    for (size_t i = 0; i < outer; ++i)
         walk[i] = in_strides[static_cast<size_t>(order[i])];
 
     const float *pa = a.data();
     float *po = out.data();
     const int64_t n = out.numel();
-    std::vector<int64_t> idx(nd, 0);
+    std::vector<int64_t> idx(outer, 0);
     int64_t off = 0;
-    for (int64_t i = 0; i < n; ++i) {
-        po[i] = pa[off];
-        for (size_t d = nd; d-- > 0;) {
+    for (int64_t i = 0; i < n; i += run) {
+        for (int64_t j = 0; j < run; ++j)
+            po[i + j] = pa[off + j];
+        for (size_t d = outer; d-- > 0;) {
             ++idx[d];
             off += walk[d];
             if (idx[d] < out_dims[d])

@@ -1338,7 +1338,8 @@ namespace {
  * by per-job gates so every interesting pick happens while the ready
  * list provably holds more than one job. Jobs are identified by their
  * batch row count (A=1, B=2, C=3); encoder bodies record their start
- * and then spin on their job's gate, head bodies just record. The
+ * and then spin on their job's gate (all but A:enc1, see below), head
+ * bodies just record. A gate still shut after 30 s fails the test. The
  * recorded start order pins the ready list's priority-then-FIFO rank.
  */
 struct PriorityProbeGraph
@@ -1363,9 +1364,14 @@ struct PriorityProbeGraph
                 return;
             const auto deadline = std::chrono::steady_clock::now() +
                                   std::chrono::seconds(30);
-            while (!gate[job] &&
-                   std::chrono::steady_clock::now() < deadline)
+            while (!gate[job]) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    ADD_FAILURE() << "gate " << "ABC"[job]
+                                  << " never opened for " << node;
+                    return;
+                }
                 std::this_thread::yield();
+            }
         };
         pipeline::StageNode n0;
         n0.name = "enc0";
@@ -1379,7 +1385,13 @@ struct PriorityProbeGraph
         n1.name = "enc1";
         n1.modality = 1;
         n1.body = [=](pipeline::ExecContext &ctx) {
-            record(ctx, "enc1", true);
+            // A:enc1 must not park. Once C's encoders are released,
+            // the thread that finishes C:enc1 first may pick A:enc1,
+            // the only ready task, while C:enc0 still runs; if it
+            // parked on gate A, B's owner would finish C:enc0 and
+            // retire, and C:head would wait for the gate that the test
+            // opens only after C:head starts.
+            record(ctx, "enc1", ctx.batch->size != 1);
             ctx.slots[1] =
                 Var(tensor::Tensor::zeros({ctx.batch->size, 4}));
         };

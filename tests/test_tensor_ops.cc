@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/parallel.hh"
 #include "tensor/ops.hh"
@@ -124,6 +127,174 @@ TEST(Elementwise, ExpLogSqrtClamp)
     EXPECT_EQ(c.toVector(), (std::vector<float>{0, 0.5, 1}));
 }
 
+// ------------------------------------------------------------------
+// The vectorized transcendentals against a double-precision reference.
+
+/** |got - ref| in units of the float ulp at ref (ref must be normal). */
+double
+ulpError(float got, double ref)
+{
+    const double ulp =
+        std::ldexp(1.0, std::ilogb(static_cast<float>(ref)) - 23);
+    return std::fabs(static_cast<double>(got) - ref) / ulp;
+}
+
+bool
+isNormalFloat(double v)
+{
+    return std::isnormal(static_cast<float>(v));
+}
+
+/**
+ * Sweep inputs: a uniform grid over [lo, hi] plus, for each sign,
+ * magnitudes spaced geometrically from 1e-37 up to hi.
+ */
+std::vector<float>
+sweepInputs(float lo, float hi)
+{
+    std::vector<float> xs;
+    const int grid = 400000;
+    for (int i = 0; i <= grid; ++i)
+        xs.push_back(lo + (hi - lo) * static_cast<float>(i) / grid);
+    for (float mag = 1e-37f; mag < hi; mag *= 1.001f) {
+        xs.push_back(mag);
+        if (-mag >= lo)
+            xs.push_back(-mag);
+    }
+    return xs;
+}
+
+/** Apply a tensor kernel to a flat input list (the vectorized path). */
+std::vector<float>
+applyKernel(Tensor (*kernel)(const Tensor &), const std::vector<float> &xs)
+{
+    return kernel(Tensor::fromVector(Shape{static_cast<int64_t>(xs.size())},
+                                     xs))
+        .toVector();
+}
+
+TEST(Transcendentals, ExpWithinTwoUlp)
+{
+    const std::vector<float> xs = sweepInputs(-87.0f, 88.0f);
+    std::vector<float> ys(xs.size());
+    for (size_t i = 0; i < xs.size(); ++i)
+        ys[i] = vexp(xs[i]);
+    for (size_t i = 0; i < xs.size(); ++i) {
+        ASSERT_LE(ulpError(ys[i], std::exp(double(xs[i]))), 2.0)
+            << "exp(" << xs[i] << ") = " << ys[i];
+    }
+}
+
+TEST(Transcendentals, TanhWithinFourUlp)
+{
+    const std::vector<float> xs = sweepInputs(-20.0f, 20.0f);
+    const std::vector<float> ys = applyKernel(tanhF, xs);
+    for (size_t i = 0; i < xs.size(); ++i) {
+        const double ref = std::tanh(double(xs[i]));
+        if (!isNormalFloat(ref))
+            continue;
+        ASSERT_LE(ulpError(ys[i], ref), 4.0)
+            << "tanh(" << xs[i] << ") = " << ys[i];
+    }
+}
+
+TEST(Transcendentals, SigmoidWithinFourUlp)
+{
+    const std::vector<float> xs = sweepInputs(-100.0f, 100.0f);
+    const std::vector<float> ys = applyKernel(sigmoidF, xs);
+    for (size_t i = 0; i < xs.size(); ++i) {
+        const double ref = 1.0 / (1.0 + std::exp(-double(xs[i])));
+        if (!isNormalFloat(ref))
+            continue;
+        ASSERT_LE(ulpError(ys[i], ref), 4.0)
+            << "sigmoid(" << xs[i] << ") = " << ys[i];
+    }
+}
+
+TEST(Transcendentals, GeluTracksDoubleReference)
+{
+    // 0.5 x (1 + tanh(u)) cancels for negative x, so the bound is
+    // absolute in |x|: a 4-ulp tanh error near |tanh| = 1 moves the
+    // result by at most 0.5 |x| * 4 * 2^-24, plus 4 ulp of rounding
+    // in the final products.
+    const std::vector<float> xs = sweepInputs(-12.0f, 12.0f);
+    const std::vector<float> ys = applyKernel(geluF, xs);
+    for (size_t i = 0; i < xs.size(); ++i) {
+        const double x = xs[i];
+        const double u = 0.7978845608 * (x + 0.044715 * x * x * x);
+        const double ref = 0.5 * x * (1.0 + std::tanh(u));
+        const double ulp_ref =
+            isNormalFloat(ref)
+                ? std::ldexp(1.0, std::ilogb(static_cast<float>(ref)) - 23)
+                : 0.0;
+        const double tol = 0.5 * std::fabs(x) * std::ldexp(4.0, -24) +
+                           4.0 * ulp_ref;
+        ASSERT_LE(std::fabs(ys[i] - ref), tol)
+            << "gelu(" << xs[i] << ") = " << ys[i];
+    }
+}
+
+TEST(Transcendentals, EdgeCases)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    EXPECT_EQ(vexp(inf), inf);
+    EXPECT_EQ(vexp(-inf), 0.0f);
+    EXPECT_EQ(vexp(0.0f), 1.0f);
+    EXPECT_TRUE(std::isnan(vexp(nan)));
+    EXPECT_EQ(vexp(89.0f), inf);      // past FLT_MAX
+    EXPECT_EQ(vexp(-104.0f), 0.0f);   // below half the least subnormal
+    EXPECT_GT(vexp(-100.0f), 0.0f);   // subnormal, not flushed
+
+    const std::vector<float> edges = {inf, -inf, nan, 0.0f, -0.0f};
+    const std::vector<float> th = applyKernel(tanhF, edges);
+    EXPECT_EQ(th[0], 1.0f);
+    EXPECT_EQ(th[1], -1.0f);
+    EXPECT_TRUE(std::isnan(th[2]));
+    EXPECT_EQ(th[3], 0.0f);
+    EXPECT_TRUE(std::signbit(th[4]));
+    const std::vector<float> sg = applyKernel(sigmoidF, edges);
+    EXPECT_EQ(sg[0], 1.0f);
+    EXPECT_EQ(sg[1], 0.0f);
+    EXPECT_TRUE(std::isnan(sg[2]));
+    EXPECT_EQ(sg[3], 0.5f);
+    const std::vector<float> ge = applyKernel(geluF, edges);
+    EXPECT_TRUE(std::isnan(ge[2]));
+    EXPECT_EQ(ge[3], 0.0f);
+}
+
+TEST(Transcendentals, FusedEpilogueBitwiseEqualsStandalone)
+{
+    // applyAct is the one definition: the GEMM epilogue and the
+    // standalone kernels must agree bit for bit, on both GEMM paths
+    // (row loop for 8x40x32, packed for 8x40x8 and 130x70x150).
+    Rng rng(31);
+    const struct { int64_t m, k, n; } shapes[] = {
+        {8, 40, 32}, {8, 40, 8}, {130, 70, 150}};
+    for (const auto &s : shapes) {
+        Tensor x = Tensor::randn(Shape{s.m, s.k}, rng, 0.5f);
+        Tensor w = Tensor::randn(Shape{s.k, s.n}, rng, 0.5f);
+        Tensor b = Tensor::randn(Shape{s.n}, rng);
+        const Tensor lin = matmul(x, w);
+        const Tensor lin_b = add(lin, b);
+        const struct
+        {
+            ActKind act;
+            Tensor (*standalone)(const Tensor &);
+        } acts[] = {{ActKind::Sigmoid, sigmoidF},
+                    {ActKind::Tanh, tanhF},
+                    {ActKind::Gelu, geluF},
+                    {ActKind::Relu, reluF}};
+        for (const auto &a : acts) {
+            SCOPED_TRACE(actKindName(a.act));
+            EXPECT_EQ(linearAct(x, w, Tensor(), a.act).toVector(),
+                      a.standalone(lin).toVector());
+            EXPECT_EQ(linearAct(x, w, b, a.act).toVector(),
+                      a.standalone(lin_b).toVector());
+        }
+    }
+}
+
 TEST(Elementwise, DropoutMaskStatistics)
 {
     Rng rng(5);
@@ -209,6 +380,24 @@ TEST(Matmul, RowsBitwiseStableAcrossSizeCutoff)
     ASSERT_EQ(c2.numel(), 2 * 64);
     for (int64_t i = 0; i < c2.numel(); ++i)
         ASSERT_EQ(c2.data()[i], c4.data()[i]) << "element " << i;
+
+    // Strided B (matmulNT) and N below one micro-tile always take the
+    // packed path. Their rows must match the same rows computed in a
+    // smaller batch and through a contiguous B (which may take the row
+    // loop) bit for bit.
+    for (const int64_t n : {int64_t{64}, int64_t{8}, int64_t{3}}) {
+        SCOPED_TRACE("n=" + std::to_string(n));
+        Tensor bt = Tensor::randn(Shape{n, 512}, rng); // (N, K)
+        Tensor bn = transpose2d(bt);
+        const std::vector<float> ref = matmul(a2, bn).toVector();
+        const std::vector<float> nt4 = matmulNT(a4, bt).toVector();
+        const std::vector<float> nn4 = matmul(a4, bn).toVector();
+        EXPECT_EQ(matmulNT(a2, bt).toVector(), ref);
+        EXPECT_EQ(std::vector<float>(nt4.begin(), nt4.begin() + 2 * n),
+                  ref);
+        EXPECT_EQ(std::vector<float>(nn4.begin(), nn4.begin() + 2 * n),
+                  ref);
+    }
 }
 
 TEST(Matmul, DtypeRowsBitwiseStableAcrossSizeCutoff)
@@ -746,6 +935,66 @@ TEST(Matmul, TransposedVariantsMatchExplicitTranspose)
         Tensor ref = matmul(a, swapDims(b, -2, -1));
         EXPECT_EQ(nt.shape(), (Shape{6, 21, 19}));
         EXPECT_LE(maxAbsDiff(nt, ref), 1e-4f);
+    }
+}
+
+TEST(Matmul, TransposedVariantsBitwiseEqualContiguousCopy)
+{
+    // Seeded property: over random m,k,n in [1, 80], reading an operand
+    // through strides (matmulNT / matmulTN) gives the same bits as
+    // matmul on an explicitly transposed contiguous copy. NT always
+    // packs B while the copy may take the row loop, so this also pins
+    // the two GEMM paths to each other.
+    Rng rng(41);
+    for (int trial = 0; trial < 150; ++trial) {
+        const int64_t m = rng.randint(1, 80);
+        const int64_t k = rng.randint(1, 80);
+        const int64_t n = rng.randint(1, 80);
+        SCOPED_TRACE("m=" + std::to_string(m) + " k=" +
+                     std::to_string(k) + " n=" + std::to_string(n));
+        const Tensor a = Tensor::randn(Shape{m, k}, rng);
+        const Tensor b = Tensor::randn(Shape{k, n}, rng);
+        const std::vector<float> nn = matmul(a, b).toVector();
+        EXPECT_EQ(matmulNT(a, transpose2d(b)).toVector(), nn);
+        EXPECT_EQ(matmulTN(transpose2d(a), b).toVector(), nn);
+    }
+}
+
+TEST(Layout, PermuteRunCopyMatchesElementWalk)
+{
+    // Random shapes and orders, including ones whose trailing axes
+    // stay in place (the run-copy path), against per-element indexing.
+    Rng rng(43);
+    for (int trial = 0; trial < 200; ++trial) {
+        const int nd = static_cast<int>(rng.randint(1, 5));
+        std::vector<int64_t> dims;
+        for (int d = 0; d < nd; ++d)
+            dims.push_back(rng.randint(1, 6));
+        std::vector<int> order(static_cast<size_t>(nd));
+        for (int d = 0; d < nd; ++d)
+            order[static_cast<size_t>(d)] = d;
+        // Keep a random-length suffix in place; shuffle the rest.
+        const int keep = static_cast<int>(rng.randint(0, nd));
+        for (int d = nd - keep - 1; d > 0; --d)
+            std::swap(order[static_cast<size_t>(d)],
+                      order[static_cast<size_t>(rng.randint(0, d))]);
+
+        const Shape in_shape(dims);
+        const Tensor a = Tensor::randn(in_shape, rng);
+        const Tensor p = permute(a, order);
+        const std::vector<int64_t> in_strides = in_shape.strides();
+        const std::vector<int64_t> out_strides = p.shape().strides();
+        for (int64_t i = 0; i < p.numel(); ++i) {
+            int64_t src = 0;
+            for (int d = 0; d < nd; ++d) {
+                const int64_t coord = (i / out_strides[static_cast<size_t>(d)]) %
+                                      p.shape()[static_cast<size_t>(d)];
+                src += coord * in_strides[static_cast<size_t>(
+                                   order[static_cast<size_t>(d)])];
+            }
+            ASSERT_EQ(p.data()[i], a.data()[src])
+                << "trial " << trial << " element " << i;
+        }
     }
 }
 
