@@ -484,12 +484,11 @@ opsMicroMain(int argc, char **argv)
                     [&] { tensor::maxpool2d(x, 2, 2); });
     }
 
-    // --- Batch re-merge hot path (concat/split along rows) ----------
-    // Serve-mode re-merge concatenates two in-flight batches' live
-    // stage tensors along dim 0 at a wave boundary and narrows the
-    // sink back per request at retirement. Both are pure row copies
-    // (read + write every float), measured here at the batch
-    // geometries the continuous batcher actually produces: raw
+    // --- Row concatenation (concat along dim 0) ---------------------
+    // Serve-mode batching concatenates the queued requests' inputs
+    // along dim 0 before a batched dispatch (runner coalesceBatches):
+    // a pure row copy (read + write every float), measured here at
+    // the batch geometries the continuous batcher produces: raw
     // modality inputs ([B, 512]-ish) and encoder feature maps.
     {
         Tensor a = Tensor::randn(Shape{4, 4096}, rng);
@@ -506,16 +505,6 @@ opsMicroMain(int argc, char **argv)
         h.bandwidth("concat_rows_feature", "2x(4x64x28x28)",
                     8.0 * 2 * 4 * 64 * 28 * 28,
                     [&] { tensor::concat(parts, 0); });
-    }
-    {
-        // The inverse per-request split of a merged batch's sink:
-        // two narrows that each copy half the rows out.
-        Tensor merged = Tensor::randn(Shape{8, 4096}, rng);
-        h.bandwidth("split_rows_output", "8x4096 -> 2x(4x4096)",
-                    8.0 * 8 * 4096, [&] {
-                        tensor::narrow(merged, 0, 0, 4);
-                        tensor::narrow(merged, 0, 4, 4);
-                    });
     }
 
     h.print();

@@ -71,6 +71,13 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
+# The benchmark's output checks (benchmark/run.sh exits 1 when its
+# "correct" field is false): outputs bitwise against a 1-thread
+# reference and against the seed-42 fingerprints in
+# benchmark/reference.json, StagePipe bitwise against forwardGraph at
+# the benchmark geometries, and outcome counts that sum to requests.
+bash benchmark/run.sh --quick
+
 # The JSONL sinks append (trajectory files accumulate across runs),
 # but the smoke legs below are a health check validated line by line:
 # start them from clean files so stale records from a previous
@@ -79,7 +86,6 @@ rm -f "$BUILD_DIR"/BENCH_smoke.jsonl "$BUILD_DIR"/BENCH_smoke.csv \
       "$BUILD_DIR"/BENCH_serve.jsonl \
       "$BUILD_DIR"/BENCH_serve_openloop.jsonl \
       "$BUILD_DIR"/BENCH_serve_pipeline.jsonl \
-      "$BUILD_DIR"/BENCH_serve_remerge.jsonl \
       "$BUILD_DIR"/BENCH_faults.jsonl \
       "$BUILD_DIR"/BENCH_ops_micro.jsonl \
       "$BUILD_DIR"/BENCH_fusion.jsonl \
@@ -122,109 +128,75 @@ MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" fig --id load --smoke \
 
 # Pipelined-serve leg: the same saturating arrival stream on a
 # multi-encoder workload — the static one-request-per-call engine vs
-# continuous batching + stage-level pipelining. Three paired passes,
-# judged at each engine's best-of-three p99: one pass is preemption-
-# noisy on a loaded CI host while the batching win is a steady
-# fraction. Validated below: every clean run completes every request
-# Ok, per-request outputs are engine-independent (pinned by
+# continuous batching + stage-level pipelining — run as 60 paired
+# passes. Pair i runs static first when i is even and pipelined first
+# when i is odd, so neither engine always meets the warmer host.
+# Validated below: every clean run completes every request Ok,
+# per-request outputs are engine-independent (pinned by
 # test_pipeline's bitwise tests), and the batching engine's p99 must
 # not exceed the static engine's at the same offered load (re-formed
 # batches amortize per-request graph overhead precisely when the
 # backlog is deepest).
-for _ in 1 2 3; do
-    MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload transfuser \
-        --mode serve --scale 0.25 --batch 2 --inflight 2 --requests 48 \
-        --arrival fixed --rate 8000 --quiet \
+#
+# Gate rule (a sign test on the paired p99s): pipelined p99 must be
+# strictly lower than static's in at least half of the pairs.
+# On a 4-vCPU host pipelined won 141 of 190 such pairs (win rate
+# 0.74), 25 of 40 in its weakest batch of runs (0.63). The 60-pair
+# gate fails by chance with probability under 0.01% at a 0.74 win
+# rate and 1.4% at 0.63. An engine no better than static (win rate
+# 0.5) fails it 45% of the time, and one clearly worse (win rate 0.1
+# or less) essentially always.
+pairs=60
+static_args=(--workload transfuser --mode serve --scale 0.25 --batch 2
+    --inflight 2 --requests 48 --arrival fixed --rate 8000)
+pipelined_args=("${static_args[@]}" --batcher continuous --max-batch 8
+    --pipeline on)
+serve_pair_run() {
+    MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run "$@" --quiet \
         --json "$BUILD_DIR/BENCH_serve_pipeline.jsonl"
-    MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload transfuser \
-        --mode serve --scale 0.25 --batch 2 --inflight 2 --requests 48 \
-        --arrival fixed --rate 8000 --batcher continuous --max-batch 8 \
-        --pipeline on --quiet \
-        --json "$BUILD_DIR/BENCH_serve_pipeline.jsonl"
+}
+for ((pair = 0; pair < pairs; pair++)); do
+    if ((pair % 2)); then
+        serve_pair_run "${pipelined_args[@]}"
+        serve_pair_run "${static_args[@]}"
+    else
+        serve_pair_run "${static_args[@]}"
+        serve_pair_run "${pipelined_args[@]}"
+    fi
 done
 
-python3 - "$BUILD_DIR/BENCH_serve_pipeline.jsonl" <<'EOF'
-import json, sys
+python3 - "$BUILD_DIR/BENCH_serve_pipeline.jsonl" "$pairs" <<'EOF'
+import json, statistics, sys
 records = [json.loads(line) for line in open(sys.argv[1])]
-assert len(records) == 6, f"expected 3 static + 3 pipelined runs, got {len(records)}"
-static = [r for r in records if "batcher" not in r["serve"]]
-pipelined = [r for r in records if r["serve"].get("batcher") == "continuous"]
-assert len(static) == 3 and len(pipelined) == 3, (len(static), len(pipelined))
-for record in records:
-    serve = record["serve"]
-    assert serve["ok"] == serve["requests"], (
-        f"clean run lost requests: ok={serve['ok']} of {serve['requests']}")
-for record in static:
-    assert "pipelined" not in record["serve"]
-for record in pipelined:
-    assert record["serve"]["pipelined"] is True
-    assert record["serve"]["batches"] < record["serve"]["requests"], (
+pairs = int(sys.argv[2])
+assert len(records) == 2 * pairs, (
+    f"expected {pairs} static + {pairs} pipelined runs, got {len(records)}")
+wins = 0
+static_p99, pipelined_p99 = [], []
+for i in range(pairs):
+    pair = records[2 * i:2 * i + 2]
+    static = [r for r in pair if "batcher" not in r["serve"]]
+    pipelined = [r for r in pair if r["serve"].get("batcher") == "continuous"]
+    assert len(static) == 1 and len(pipelined) == 1, (
+        f"pair {i} is not one static and one pipelined run")
+    for record in pair:
+        serve = record["serve"]
+        assert serve["ok"] == serve["requests"], (
+            f"clean run lost requests: ok={serve['ok']} of {serve['requests']}")
+    static, pipelined = static[0], pipelined[0]
+    assert "pipelined" not in static["serve"]
+    assert pipelined["serve"]["pipelined"] is True
+    assert pipelined["serve"]["batches"] < pipelined["serve"]["requests"], (
         "continuous batcher formed no multi-request batches at saturation")
-static_p99 = min(r["latency_us"]["p99"] for r in static)
-pipelined_p99 = min(r["latency_us"]["p99"] for r in pipelined)
-assert pipelined_p99 <= static_p99, (
-    f"pipelined p99 {pipelined_p99:.0f} us worse than static {static_p99:.0f} us")
-print(f"pipelined-serve smoke OK: best-of-3 p99 static {static_p99:.0f} us -> "
-      f"continuous+pipeline {pipelined_p99:.0f} us, "
-      f"{pipelined[0]['serve']['batches']} batches for "
-      f"{pipelined[0]['serve']['requests']} requests")
-EOF
-
-# Re-merge leg: a saturating Poisson stream on the continuous+pipeline
-# engine, with and without in-flight wave-boundary re-merge. The batch
-# cap (32) is deliberately wide: re-merge only absorbs a peer while
-# the combined request count stays under the cap, so a tight cap at
-# saturation forms cap-full batches and rejects every candidate,
-# while a wide cap leaves dispatches sub-full and frontier holds fire
-# on every pass. Three paired passes, judged at best-of-three p99
-# like the pipelined leg. Validated below: the re-merge passes must
-# actually merge (remerged_waves > 0 summed over the passes), the
-# best-of-passes p99 must stay within noise of the continuous engine
-# alone (shared-runner hosts show up to ~4x p99 jitter between
-# identical serve runs, so the tail gate carries a 1.5x allowance —
-# it exists to catch real regressions, and in quiet windows re-merge
-# meets the strict criterion), and the off-path records must carry no
-# re-merge keys (the default JSONL stays byte-compatible).
-for _ in 1 2 3; do
-    MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload transfuser \
-        --mode serve --scale 0.25 --batch 2 --inflight 4 --requests 64 \
-        --arrival poisson --rate 4000 --batcher continuous --max-batch 32 \
-        --pipeline on --quiet \
-        --json "$BUILD_DIR/BENCH_serve_remerge.jsonl"
-    MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload transfuser \
-        --mode serve --scale 0.25 --batch 2 --inflight 4 --requests 64 \
-        --arrival poisson --rate 4000 --batcher continuous --max-batch 32 \
-        --pipeline on --remerge on --quiet \
-        --json "$BUILD_DIR/BENCH_serve_remerge.jsonl"
-done
-
-python3 - "$BUILD_DIR/BENCH_serve_remerge.jsonl" <<'EOF'
-import json, sys
-records = [json.loads(line) for line in open(sys.argv[1])]
-assert len(records) == 6, f"expected 3 baseline + 3 remerge runs, got {len(records)}"
-baseline = [r for r in records if "remerge" not in r["spec"]]
-remerge = [r for r in records if r["spec"].get("remerge") is True]
-assert len(baseline) == 3 and len(remerge) == 3, (len(baseline), len(remerge))
-for record in records:
-    serve = record["serve"]
-    assert serve["ok"] == serve["requests"], (
-        f"clean run lost requests: ok={serve['ok']} of {serve['requests']}")
-for record in baseline:
-    # Off-path records stay byte-compatible: no re-merge keys anywhere.
-    assert "remerged_waves" not in record["serve"]
-    assert "remerged_requests" not in record["serve"]
-merged_waves = sum(r["serve"]["remerged_waves"] for r in remerge)
-merged_requests = sum(r["serve"]["remerged_requests"] for r in remerge)
-assert merged_waves > 0, "re-merge never fired at the saturating rate"
-assert merged_requests >= merged_waves, (merged_requests, merged_waves)
-baseline_p99 = min(r["latency_us"]["p99"] for r in baseline)
-remerge_p99 = min(r["latency_us"]["p99"] for r in remerge)
-assert remerge_p99 <= 1.5 * baseline_p99, (
-    f"re-merge p99 {remerge_p99:.0f} us regressed past the noise allowance "
-    f"over continuous {baseline_p99:.0f} us")
-print(f"re-merge smoke OK: best-of-3 p99 continuous {baseline_p99:.0f} us -> "
-      f"+remerge {remerge_p99:.0f} us, {merged_waves} merged waves absorbing "
-      f"{merged_requests} requests across 3 passes")
+    static_p99.append(static["latency_us"]["p99"])
+    pipelined_p99.append(pipelined["latency_us"]["p99"])
+    wins += pipelined_p99[-1] < static_p99[-1]
+need = (pairs + 1) // 2
+summary = (f"pipelined p99 lower in {wins} of {pairs} pairs (need {need}); "
+           f"median p99 static {statistics.median(static_p99):.0f} us -> "
+           f"continuous+pipeline {statistics.median(pipelined_p99):.0f} us")
+assert wins >= need, "pipelined-serve gate failed: " + summary
+print("pipelined-serve gate OK:", summary)
 EOF
 
 # Fault-injection leg: the fault_tolerance experiment sweeps offered
@@ -391,7 +363,6 @@ EOF
 python3 - "$BUILD_DIR/BENCH_smoke.jsonl" "$BUILD_DIR/BENCH_serve.jsonl" \
     "$BUILD_DIR/BENCH_serve_openloop.jsonl" \
     "$BUILD_DIR/BENCH_serve_pipeline.jsonl" \
-    "$BUILD_DIR/BENCH_serve_remerge.jsonl" \
     "$BUILD_DIR/BENCH_ops_micro.jsonl" \
     "$BUILD_DIR/BENCH_precision.jsonl" <<'EOF'
 import json, sys

@@ -19,14 +19,9 @@
  * every other consumer finished in a strictly earlier dependency
  * level. Consumers sharing the releasing node's level run concurrently
  * with it, so such slots (and graph sinks, which nothing consumes)
- * are released only when the run's ExecContext dies.
- *
- * The plan also underwrites serve-mode batch re-merge (stagepipe.hh):
- * two jobs of the same graph, wave and drop-mask have executed the
- * same nodes and performed the same planned releases, so their live
- * slot sets are identical at any shared wave frontier — exactly the
- * property that lets the pipe concatenate their contexts slot-by-slot
- * without consulting liveness at merge time.
+ * are released only when the run's ExecContext dies. The stage
+ * pipeline (stagepipe.hh) runs the parallel-policy plan per job: its
+ * per-job wave barrier is exactly the level ordering the rule assumes.
  */
 
 #ifndef MMBENCH_PIPELINE_MEMPLAN_HH

@@ -1,9 +1,9 @@
 #include "pipeline/scheduler.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <memory>
+#include <optional>
 
+#include "core/clock.hh"
 #include "core/logging.hh"
 #include "core/parallel.hh"
 #include "core/string_utils.hh"
@@ -13,27 +13,9 @@
 namespace mmbench {
 namespace pipeline {
 
-namespace {
-
-double
-nowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/**
- * Run one node on the current thread with the full ambient context the
- * monolithic forward used to set up: tag, stage, modality, and (when
- * capturing) a node-local sink. Grad mode is re-asserted here because
- * the node may execute on a pool worker whose thread-local grad flag
- * is untouched by the submitting thread's NoGradGuard.
- */
-void
-execNode(size_t node_id, const StageNode &node, ExecContext &ctx,
-         NodeRun &out, const ScheduleOptions &options, bool grad_enabled,
-         GraphRun *run)
+bool
+runNode(size_t id, const StageNode &node, ExecContext &ctx,
+        const ScheduleOptions &options, bool grad_enabled, NodeRun &out)
 {
     // Fault consultation happens before any work: an injected failure
     // costs the request nothing but the dispatch (the model never ran).
@@ -43,27 +25,30 @@ execNode(size_t node_id, const StageNode &node, ExecContext &ctx,
         throw FaultError(node.name, options.faultRequest,
                          options.faultAttempt);
 
-    std::unique_ptr<autograd::NoGradGuard> no_grad;
+    // Grad mode is re-asserted here because the node may execute on a
+    // pool worker or another serve slot, whose thread-local grad flag
+    // the submitting thread's NoGradGuard never touched.
+    std::optional<autograd::NoGradGuard> no_grad;
     if (!grad_enabled)
-        no_grad = std::make_unique<autograd::NoGradGuard>();
-    std::unique_ptr<trace::ScopedSink> capture;
+        no_grad.emplace();
+    std::optional<trace::ScopedSink> capture;
     if (options.captureTraces)
-        capture = std::make_unique<trace::ScopedSink>(out.trace);
-
+        capture.emplace(out.trace);
     trace::TagScope tag(options.tag);
     trace::StageScope stage(node.stage);
-    std::unique_ptr<trace::ModalityScope> mod;
+    std::optional<trace::ModalityScope> mod;
     if (node.modality != trace::kNoModality)
-        mod = std::make_unique<trace::ModalityScope>(node.modality);
+        mod.emplace(node.modality);
 
-    out.startUs = nowUs();
+    out.startUs = core::nowUs();
     node.body(ctx);
-    out.endUs = nowUs();
+    out.endUs = core::nowUs();
 
     // Injected straggler: busy-extend until the node's measured span
     // reaches `factor` times its real duration. Burning the slot's CPU
     // (rather than sleeping) models a node that is genuinely slower,
     // and keeps the span visible to every consumer of the timeline.
+    bool slowed = false;
     if (options.faults) {
         const double factor = options.faults->slowdownFor(
             options.faultRequest, node.name, options.faultAttempt);
@@ -72,11 +57,10 @@ execNode(size_t node_id, const StageNode &node, ExecContext &ctx,
                 std::min((out.endUs - out.startUs) * (factor - 1.0),
                          kMaxInjectedStallUs);
             const double target = out.endUs + extension;
-            while (nowUs() < target) {
+            while (core::nowUs() < target) {
             }
-            out.endUs = nowUs();
-            if (run)
-                ++run->injectedSlowdowns;
+            out.endUs = core::nowUs();
+            slowed = true;
         }
     }
 
@@ -86,12 +70,11 @@ execNode(size_t node_id, const StageNode &node, ExecContext &ctx,
     // at the same canonical position under every policy. The planner
     // guarantees no concurrently running node still reads these slots.
     if (options.plan) {
-        for (size_t dead : options.plan->releaseAfter[node_id])
+        for (size_t dead : options.plan->releaseAfter[id])
             ctx.slots[dead] = autograd::Var();
     }
+    return slowed;
 }
-
-} // namespace
 
 const char *
 schedPolicyName(SchedPolicy policy)
@@ -114,14 +97,6 @@ tryParseSchedPolicy(const std::string &name, SchedPolicy *policy)
     return false;
 }
 
-namespace {
-
-/**
- * True when the node is pruned from this execution: its modality was
- * dropped from the request, so the whole per-modality subtree
- * (preprocess + encoder) is dead. Fusion/head nodes carry no modality
- * and always run; the fusion body zero-imputes the missing feature.
- */
 bool
 prunedByDropMask(const StageNode &node, uint32_t drop_mask)
 {
@@ -129,8 +104,6 @@ prunedByDropMask(const StageNode &node, uint32_t drop_mask)
            node.modality < 32 &&
            (drop_mask >> static_cast<unsigned>(node.modality)) & 1u;
 }
-
-} // namespace
 
 GraphRun
 runGraph(const StageGraph &graph, ExecContext &ctx,
@@ -156,15 +129,17 @@ runGraph(const StageGraph &graph, ExecContext &ctx,
                   policy == SchedPolicy::Sequential,
               "fault injection requires the sequential policy");
 
-    const double t0 = nowUs();
+    const double t0 = core::nowUs();
     if (policy == SchedPolicy::Sequential) {
         for (size_t id = 0; id < graph.size(); ++id) {
-            if (prunedByDropMask(graph.node(id), options.dropMask)) {
+            const StageNode &node = graph.node(id);
+            if (prunedByDropMask(node, options.dropMask)) {
                 ++run.prunedNodes;
                 continue;
             }
-            execNode(id, graph.node(id), ctx, run.nodes[id], options,
-                     grad_enabled, &run);
+            if (runNode(id, node, ctx, options, grad_enabled,
+                        run.nodes[id]))
+                ++run.injectedSlowdowns;
         }
     } else {
         for (int level = 0; level < graph.numLevels(); ++level) {
@@ -178,19 +153,20 @@ runGraph(const StageGraph &graph, ExecContext &ctx,
                     live.push_back(id);
             }
             // One wave per dependency level: members of a level never
-            // depend on each other, so they are free to overlap.
+            // depend on each other, so they are free to overlap. The
+            // run is fault-free (asserted above), so no straggler fires.
             core::parallelFor(
                 0, static_cast<int64_t>(live.size()), 1,
                 [&](int64_t begin, int64_t end) {
                     for (int64_t i = begin; i < end; ++i) {
                         const size_t id = live[static_cast<size_t>(i)];
-                        execNode(id, graph.node(id), ctx, run.nodes[id],
-                                 options, grad_enabled, nullptr);
+                        runNode(id, graph.node(id), ctx, options,
+                                grad_enabled, run.nodes[id]);
                     }
                 });
         }
     }
-    run.totalUs = nowUs() - t0;
+    run.totalUs = core::nowUs() - t0;
     return run;
 }
 

@@ -115,6 +115,32 @@ struct GraphRun
 };
 
 /**
+ * True when the node is pruned from an execution under `drop_mask`:
+ * its modality was dropped from the request, so the whole
+ * per-modality subtree (preprocess + encoder) is dead. Fusion/head
+ * nodes carry no modality and always run; the fusion body
+ * zero-imputes the missing feature.
+ */
+bool prunedByDropMask(const StageNode &node, uint32_t drop_mask);
+
+/**
+ * Execute node `id` on the calling thread: the one routine runGraph
+ * and StagePipe run every node through. In order, it throws
+ * FaultError when options.faults fails the node (before any work);
+ * installs the ambient context the monolithic forward used to set up
+ * (grad off unless `grad_enabled`, options.tag, the node's stage and
+ * modality, and with options.captureTraces a sink recording into
+ * out.trace); stamps out.startUs, runs the body and stamps out.endUs;
+ * busy-extends an injected straggler (capped at kMaxInjectedStallUs)
+ * and re-stamps out.endUs; and drops the slots options.plan releases
+ * after this node while those scopes are still installed. Returns
+ * true when a straggler fault fired. Allocates nothing per node.
+ */
+bool runNode(size_t id, const StageNode &node, ExecContext &ctx,
+             const ScheduleOptions &options, bool grad_enabled,
+             NodeRun &out);
+
+/**
  * Execute every node of the graph. ctx.slots is resized to the node
  * count; on return, each node's output sits in its slot. When grad
  * recording is enabled on the calling thread the policy silently

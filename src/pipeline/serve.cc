@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 
+#include "core/clock.hh"
 #include "core/logging.hh"
 #include "core/parallel.hh"
 #include "core/rng.hh"
@@ -15,18 +16,6 @@
 
 namespace mmbench {
 namespace pipeline {
-
-namespace {
-
-double
-nowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-} // namespace
 
 const char *
 arrivalKindName(ArrivalKind kind)
@@ -214,7 +203,7 @@ runClosedLoop(int total, const ServeLoopOptions &options,
     std::atomic<int> calls{0};
     std::atomic<int> retries{0};
     std::atomic<int> faults{0};
-    const double t0 = nowUs();
+    const double t0 = core::nowUs();
     core::parallelFor(0, options.inflight, 1, [&](int64_t, int64_t) {
         // The slot body drains the cursor; the parallelFor range only
         // determines how many slots run concurrently.
@@ -226,9 +215,9 @@ runClosedLoop(int total, const ServeLoopOptions &options,
             call.first = i;
             call.count = 1;
             call.ids.assign(1, i);
-            const double start = nowUs() - t0;
+            const double start = core::nowUs() - t0;
             const ServiceResult sr = service(call);
-            const double end = nowUs() - t0;
+            const double end = core::nowUs() - t0;
             RequestTiming &t = result->requests[static_cast<size_t>(i)];
             t.arrivalUs = start; // no queue in a closed loop
             t.startUs = start;
@@ -241,7 +230,7 @@ runClosedLoop(int total, const ServeLoopOptions &options,
                              std::memory_order_relaxed);
         }
     });
-    result->wallUs = nowUs() - t0;
+    result->wallUs = core::nowUs() - t0;
     result->serviceCalls = calls.load();
     result->retries = retries.load();
     result->faultsInjected = faults.load();
@@ -254,11 +243,7 @@ runClosedLoop(int total, const ServeLoopOptions &options,
  * (holding an under-filled batch up to `batchWaitUs` under the
  * continuous batcher) or wait for the next arrival. Classless streams
  * run a single queue, so dequeues stay contiguous FIFO runs — the
- * historical dispatcher exactly. A batch dispatched under-filled is
- * not necessarily final, either: with `--remerge on` the stage pipe
- * can still absorb it into a compatible in-flight batch at a wave
- * boundary (stagepipe.hh), so the dispatcher never has to trade
- * queue delay against batch occupancy here.
+ * historical dispatcher exactly.
  *
  * Waiting is handed to a single designated slot: exactly one idle slot
  * owns the next-arrival timer (sleeping on the condition variable with
@@ -329,7 +314,7 @@ runOpenLoop(int total, const ServeLoopOptions &options,
     std::atomic<int> calls{0};
     std::atomic<int> retries{0};
     std::atomic<int> faults{0};
-    const double t0 = nowUs();
+    const double t0 = core::nowUs();
 
     // Caller holds mu. Admit every request due by `now` into its class
     // queue (queues only ever grow here, so "consumed prefix" heads
@@ -371,7 +356,7 @@ runOpenLoop(int total, const ServeLoopOptions &options,
                 cv.notify_all(); // release every parked slot
                 return;
             }
-            double now = nowUs() - t0;
+            double now = core::nowUs() - t0;
             admit(now);
             if (options.shedding) {
                 // Deadline-expired queue heads: servicing them is pure
@@ -439,7 +424,7 @@ runOpenLoop(int total, const ServeLoopOptions &options,
                     // jitter (measured as queue wait) stays at
                     // scheduler-yield granularity.
                     lock.unlock();
-                    while (nowUs() - t0 < due)
+                    while (core::nowUs() - t0 < due)
                         std::this_thread::yield();
                     lock.lock();
                 }
@@ -460,10 +445,10 @@ runOpenLoop(int total, const ServeLoopOptions &options,
                 // to this slot) up to batchWaitUs from formation start
                 // for further same-class arrivals. Other slots keep
                 // dispatching the rest of the queue meanwhile.
-                const double formed = nowUs() - t0;
+                const double formed = core::nowUs() - t0;
                 const double hold_until = formed + options.batchWaitUs;
                 for (;;) {
-                    now = nowUs() - t0;
+                    now = core::nowUs() - t0;
                     admit(now);
                     while (static_cast<int>(call.ids.size()) <
                                options.maxBatch &&
@@ -483,12 +468,12 @@ runOpenLoop(int total, const ServeLoopOptions &options,
                                 until - now - 1500.0));
                     } else {
                         lock.unlock();
-                        while (nowUs() - t0 < until)
+                        while (core::nowUs() - t0 < until)
                             std::this_thread::yield();
                         lock.lock();
                     }
                 }
-                now = nowUs() - t0;
+                now = core::nowUs() - t0;
             }
             call.first = call.ids.front();
             call.count = static_cast<int>(call.ids.size());
@@ -507,9 +492,9 @@ runOpenLoop(int total, const ServeLoopOptions &options,
                 cv.notify_one(); // hand the queue to a parked slot
             lock.unlock();
 
-            const double start = nowUs() - t0;
+            const double start = core::nowUs() - t0;
             const ServiceResult sr = service(call);
-            const double end = nowUs() - t0;
+            const double end = core::nowUs() - t0;
             for (const int i : call.ids) {
                 RequestTiming &t =
                     result->requests[static_cast<size_t>(i)];
@@ -535,7 +520,7 @@ runOpenLoop(int total, const ServeLoopOptions &options,
             cv.notify_one();
         }
     });
-    result->wallUs = nowUs() - t0;
+    result->wallUs = core::nowUs() - t0;
     result->serviceCalls = calls.load();
     result->retries = retries.load();
     result->faultsInjected = faults.load();

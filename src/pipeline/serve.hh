@@ -28,12 +28,9 @@
  * The schedule is generated from a seed before the clock starts, so a
  * fixed (kind, requests, rate, seed) tuple is bit-reproducible.
  *
- * Batch membership is final here only up to dispatch: with
- * `--remerge on` the downstream stage pipeline (stagepipe.hh) may
- * still absorb a dispatched batch into a compatible one already in
- * flight at the same wave frontier, so under-filled batches formed at
- * the queue boundary can recover queue-side batching misses without
- * the dispatcher holding arrivals back.
+ * Batch membership is final at dispatch: the downstream engine (the
+ * stage graph, or the stage pipeline of stagepipe.hh) runs each
+ * dispatched batch as one unit through every stage.
  *
  * Request lifecycle (fault-tolerant serving): every request ends in an
  * explicit outcome. The dispatcher owns the queue-side half — bounded

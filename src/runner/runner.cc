@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "autograd/optim.hh"
+#include "core/clock.hh"
 #include "core/logging.hh"
 #include "core/parallel.hh"
 #include "data/loader.hh"
@@ -23,14 +24,6 @@ namespace mmbench {
 namespace runner {
 
 namespace {
-
-double
-nowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 void
 fillCommon(RunResult *result, const RunSpec &spec,
@@ -137,9 +130,9 @@ runInfer(const RunSpec &spec, models::MultiModalWorkload &workload,
     std::vector<double> wall_us, sim_us;
     profile::ProfileResult last;
     for (int i = 0; i < spec.repeat; ++i) {
-        const double t0 = nowUs();
+        const double t0 = core::nowUs();
         last = profiler.profileGraph(workload, batch, spec.sched);
-        wall_us.push_back(nowUs() - t0);
+        wall_us.push_back(core::nowUs() - t0);
         sim_us.push_back(last.timeline.totalUs);
     }
     pool_window.finish(&result->memory);
@@ -223,7 +216,7 @@ runTrain(const RunSpec &spec, models::MultiModalWorkload &workload,
             pool_window = std::make_unique<PoolWindow>();
         for (int64_t b = 0; b < loader.batchesPerEpoch(); ++b) {
             data::Batch batch = loader.batch(b);
-            const double t0 = nowUs();
+            const double t0 = core::nowUs();
             opt.zeroGrad();
             autograd::Var loss =
                 workload.loss(workload.forward(batch), batch.targets);
@@ -231,7 +224,7 @@ runTrain(const RunSpec &spec, models::MultiModalWorkload &workload,
             opt.clipGradNorm(5.0f);
             opt.step();
             if (timed) {
-                step_us.push_back(nowUs() - t0);
+                step_us.push_back(core::nowUs() - t0);
                 timed_samples += batch.size;
             }
         }
@@ -427,6 +420,11 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
     loop.deadlineUs = spec.deadlineMs * 1000.0;
     loop.shedding = spec.shed;
 
+    // A request whose mask covers every modality has no live input:
+    // it fails rather than answer from zero-imputed inputs alone.
+    const uint32_t all_dropped = workload.dropAllExcept(0) | 1u;
+    const char *tag = fusion::fusionKindName(workload.config().fusionKind);
+
     // Arena window over the serving stream: the warmup request above
     // primed the free lists, so steady-state requests should be
     // near-pure reuse.
@@ -443,13 +441,6 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
             autograd::NoGradGuard no_grad;
             pipeline::ServiceResult sr;
 
-            pipeline::ScheduleOptions req = options;
-            if (!plan.empty()) {
-                req.faults = &plan;
-                // Batched groups key fault decisions on the head
-                // request id: one dispatch, one execution, one roll.
-                req.faultRequest = call.first;
-            }
             uint32_t mask = 0;
             if (!drop_masks.empty()) {
                 // A batched group adopts the union of its members'
@@ -465,7 +456,26 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
             }
             if (call.underPressure && pressure_degrade)
                 mask |= pressure_mask;
+            if ((mask & all_dropped) == all_dropped) {
+                sr.failed = true;
+                return sr;
+            }
+
+            pipeline::ScheduleOptions req = options;
             req.dropMask = mask;
+            pipeline::PipeRequest preq;
+            preq.dropMask = mask;
+            preq.tag = tag;
+            if (!plan.empty()) {
+                // Batched groups key fault decisions on the head
+                // request id: one dispatch, one execution, one roll.
+                req.faults = preq.faults = &plan;
+                req.faultRequest = preq.faultRequest = call.first;
+            }
+            if (!class_plan.empty())
+                preq.priority =
+                    class_plan.at(static_cast<size_t>(call.classId))
+                        .priority;
 
             // Assembly of the service batch counts toward service
             // time, as in a real batching server.
@@ -480,39 +490,18 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
                                               /*include_targets=*/false);
                 input = &fused_batch;
             }
+            preq.batch = input;
 
             // Bounded retry with exponential backoff: injected
             // failures are transient per attempt (the plan re-rolls
             // with attempt+1), so a retry can succeed. Exhausting the
             // budget reports the request failed.
             for (int attempt = 0;; ++attempt) {
-                req.faultAttempt = attempt;
+                req.faultAttempt = preq.faultAttempt = attempt;
                 try {
                     if (pipe) {
-                        pipeline::PipeRequest preq;
-                        preq.batch = input;
-                        preq.dropMask = mask;
-                        preq.tag = fusion::fusionKindName(
-                            workload.config().fusionKind);
-                        if (!plan.empty()) {
-                            preq.faults = &plan;
-                            preq.faultRequest = call.first;
-                        }
-                        preq.faultAttempt = attempt;
-                        preq.priority =
-                            class_plan.empty()
-                                ? 0
-                                : class_plan
-                                      .at(static_cast<size_t>(
-                                          call.classId))
-                                      .priority;
-                        preq.classId = call.classId;
-                        preq.remerge = spec.remerge;
-                        preq.requestCount = call.count;
-                        preq.mergeCap = spec.maxBatch;
-                        const pipeline::PipeCompletion done =
-                            pipe->execute(preq);
-                        sr.faultsInjected += done.injectedSlowdowns;
+                        sr.faultsInjected +=
+                            pipe->execute(preq).injectedSlowdowns;
                     } else {
                         pipeline::GraphRun graph_run;
                         workload.forwardGraph(*input, req, &graph_run);
@@ -580,10 +569,6 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
     result->serve.batcher = pipeline::batcherKindName(spec.batcher);
     result->serve.pipelined = spec.pipelineServe;
     result->serve.batches = stream.serviceCalls;
-    if (pipe) {
-        result->serve.remergedWaves = pipe->remergedWaves();
-        result->serve.remergedRequests = pipe->remergedRequests();
-    }
     result->serve.ok = stream.ok;
     result->serve.degraded = stream.degraded;
     result->serve.shed = stream.shed;

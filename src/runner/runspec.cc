@@ -139,10 +139,6 @@ RunSpec::toArgs() const
         args.push_back("--pipeline");
         args.push_back("on");
     }
-    if (remerge) {
-        args.push_back("--remerge");
-        args.push_back("on");
-    }
     if (!faults.empty()) {
         args.push_back("--faults");
         args.push_back(faults);
@@ -201,8 +197,6 @@ RunSpec::toString() const
         text += strfmt(" classes=%s", classes.c_str());
     if (pipelineServe)
         text += " pipeline=on";
-    if (remerge)
-        text += " remerge=on";
     if (fuseKernels)
         text += strfmt(" fuse_kernels=on autotune=%s",
                        solver::autotuneModeName(autotune));
@@ -260,8 +254,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
                std::string *error)
 {
     error->clear();
-    bool saw_coalesce = false;
-    bool saw_continuous = false;
     for (size_t i = 0; i < args.size(); ++i) {
         const std::string &flag = args[i];
         if (i + 1 >= args.size()) {
@@ -439,8 +431,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
                 return false;
             }
             spec->batcher = kind;
-            if (kind == pipeline::BatcherKind::Continuous)
-                saw_continuous = true;
         } else if (flag == "--max-batch") {
             int64_t v;
             if (!parseInt64(value, &v) || v <= 0) {
@@ -473,29 +463,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
                                 "'%s'", value.c_str());
                 return false;
             }
-        } else if (flag == "--remerge") {
-            const std::string p = toLower(value);
-            if (p == "on" || p == "true" || p == "1") {
-                spec->remerge = true;
-            } else if (p == "off" || p == "false" || p == "0") {
-                spec->remerge = false;
-            } else {
-                *error = strfmt("--remerge expects on or off, got "
-                                "'%s'", value.c_str());
-                return false;
-            }
-        } else if (flag == "--coalesce") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v <= 0) {
-                *error = strfmt("--coalesce expects a positive integer, "
-                                "got '%s'", value.c_str());
-                return false;
-            }
-            warn("--coalesce is deprecated; use --batcher static "
-                 "--max-batch %lld", static_cast<long long>(v));
-            spec->batcher = pipeline::BatcherKind::Static;
-            spec->maxBatch = static_cast<int>(v);
-            saw_coalesce = true;
         } else if (flag == "--faults") {
             // Grammar-checked after the loop (seed-independent), so
             // flag order can't change whether a spec parses.
@@ -542,14 +509,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
             return false;
         }
     }
-    if (saw_coalesce &&
-        (saw_continuous ||
-         spec->batcher == pipeline::BatcherKind::Continuous)) {
-        *error = "--coalesce is a deprecated alias for --batcher "
-                 "static --max-batch N and cannot be combined with "
-                 "--batcher continuous; pass --max-batch directly";
-        return false;
-    }
     if (spec->mode == RunMode::Serve &&
         spec->sched == pipeline::SchedPolicy::Parallel) {
         // Serve requests already occupy the worker pool, so the
@@ -577,10 +536,9 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
         }
     } else {
         if (spec->maxBatch > 1) {
-            *error = "--max-batch (and its deprecated alias "
-                     "--coalesce) batches queued requests, which only "
-                     "exist under open-loop arrivals; add --arrival "
-                     "poisson or --arrival fixed";
+            *error = "--max-batch batches queued requests, which "
+                     "only exist under open-loop arrivals; add "
+                     "--arrival poisson or --arrival fixed";
             return false;
         }
         if (spec->batcher == pipeline::BatcherKind::Continuous) {
@@ -657,22 +615,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
         if (!spec->shed) {
             *error = "--shed off disables serve-mode load shedding; "
                      "add --mode serve";
-            return false;
-        }
-    }
-    if (spec->remerge) {
-        // Re-merge happens at wave boundaries inside the stage
-        // pipeline, and with --max-batch 1 a merge could never fire;
-        // rejecting both keeps emitted records honest about what ran.
-        if (!spec->pipelineServe) {
-            *error = "--remerge re-merges in-flight batches at wave "
-                     "boundaries inside the stage pipeline; add "
-                     "--pipeline on";
-            return false;
-        }
-        if (spec->maxBatch < 2) {
-            *error = "--remerge merges up to --max-batch requests "
-                     "into one batch; pass --max-batch 2 or higher";
             return false;
         }
     }

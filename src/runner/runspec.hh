@@ -86,13 +86,6 @@ struct RunSpec
      * slot running its graph as an indivisible unit.
      */
     bool pipelineServe = false;
-    /**
-     * Pipelined serve: re-merge compatible in-flight requests at wave
-     * boundaries (a request finishing its encoder wave joins a batch
-     * already in flight at the same frontier). Requires --pipeline on
-     * and --max-batch >= 2; outputs stay bitwise identical.
-     */
-    bool remerge = false;
     /** Serve mode: fault-injection spec (faults.hh grammar); "" = none. */
     std::string faults;
     /** Serve mode, open loop: admission-queue bound; 0 = unbounded. */
@@ -149,11 +142,8 @@ struct RunSpec
  * "--threads", "--scale", "--seed", "--warmup", "--repeat",
  * "--device", "--sched", "--inflight", "--requests", "--arrival",
  * "--rate", "--batcher", "--max-batch", "--batch-wait-us",
- * "--classes", "--pipeline", "--remerge", "--faults", "--queue-cap",
- * "--deadline-ms", "--retries", "--shed", "--dtype") into *spec. "--coalesce N"
- * is accepted as a deprecated alias for "--batcher static
- * --max-batch N" (a parse-time warning is printed; combining it with
- * "--batcher continuous" is rejected).
+ * "--classes", "--pipeline", "--faults", "--queue-cap",
+ * "--deadline-ms", "--retries", "--shed", "--dtype") into *spec.
  * Flags not present keep the spec's current values, so callers can
  * pre-seed defaults. Fails with a message in *error on unknown flags,
  * malformed values, or unknown workload/fusion/device names; the

@@ -126,9 +126,11 @@ TEST(RunSpecParse, Errors)
         {"--workload", "av-mnist", "--device", "tpu"}, &spec, &error));
     EXPECT_NE(error.find("unknown device"), std::string::npos);
 
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--frobnicate", "1"}, &spec, &error));
-    EXPECT_NE(error.find("unknown flag"), std::string::npos);
+    for (const char *flag : {"--frobnicate", "--coalesce"}) {
+        EXPECT_FALSE(runner::parseRunSpec(
+            {"--workload", "av-mnist", flag, "1"}, &spec, &error));
+        EXPECT_NE(error.find("unknown flag"), std::string::npos) << flag;
+    }
 
     EXPECT_FALSE(runner::parseRunSpec({"--workload"}, &spec, &error));
     EXPECT_NE(error.find("missing its value"), std::string::npos);
@@ -140,18 +142,15 @@ TEST(RunSpecParse, ArrivalFlagsParseAndRoundTrip)
     std::string error;
     ASSERT_TRUE(runner::parseRunSpec(
         {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "128.5", "--coalesce", "4", "--inflight",
+         "poisson", "--rate", "128.5", "--max-batch", "4", "--inflight",
          "2", "--requests", "16"},
         &spec, &error))
         << error;
     EXPECT_EQ(spec.arrival, pipeline::ArrivalKind::Poisson);
     EXPECT_DOUBLE_EQ(spec.rateRps, 128.5);
-    // --coalesce is a deprecated alias for --batcher static
-    // --max-batch N (warns, still parses).
     EXPECT_EQ(spec.batcher, pipeline::BatcherKind::Static);
     EXPECT_EQ(spec.maxBatch, 4);
 
-    // Round-trip re-emits the canonical flags, never the alias.
     RunSpec reparsed;
     ASSERT_TRUE(runner::parseRunSpec(spec.toArgs(), &reparsed, &error))
         << error;
@@ -197,12 +196,12 @@ TEST(RunSpecParse, ArrivalFlagErrors)
         &spec, &error));
     EXPECT_NE(error.find("serve"), std::string::npos);
 
-    // Coalescing needs a queue, i.e. open-loop arrivals.
+    // Batching needs a queue, i.e. open-loop arrivals.
     spec = RunSpec();
     EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--coalesce", "4"},
+        {"--workload", "av-mnist", "--mode", "serve", "--max-batch", "4"},
         &spec, &error));
-    EXPECT_NE(error.find("--coalesce"), std::string::npos);
+    EXPECT_NE(error.find("--max-batch"), std::string::npos);
 
     // A rate under the closed loop would be silently ignored: reject.
     spec = RunSpec();
@@ -1020,6 +1019,34 @@ TEST(Runner, DroppedModalitiesServeDegraded)
     EXPECT_DOUBLE_EQ(result.serve.goodputRps, result.serve.achievedRps);
 }
 
+TEST(Runner, RequestsWithNoLiveModalityFail)
+{
+    // Dropping every modality leaves nothing to compute from: on every
+    // workload each request ends failed through the normal outcome
+    // path, instead of answering from zero-imputed inputs alone or
+    // aborting inside a workload's fusion body.
+    for (const std::string &name :
+         models::WorkloadRegistry::instance().names()) {
+        SCOPED_TRACE(name);
+        RunSpec spec;
+        spec.workload = name;
+        spec.mode = RunMode::Serve;
+        spec.batch = 2;
+        spec.sizeScale = 0.35f;
+        spec.inflight = 1;
+        spec.requests = 4;
+        spec.faults = "drop_modality:mod=*:p=1";
+
+        const runner::RunResult result = runner::runOne(spec);
+        EXPECT_EQ(result.serve.failed, spec.requests);
+        EXPECT_EQ(result.serve.ok + result.serve.degraded +
+                      result.serve.shed + result.serve.timeouts,
+                  0);
+        EXPECT_GT(result.serve.faultsInjected, 0);
+        EXPECT_DOUBLE_EQ(result.serve.goodputRps, 0.0);
+    }
+}
+
 TEST(Runner, ExhaustedRetriesFailTheRequest)
 {
     // p=1 fusion failure burns the whole retry budget every time:
@@ -1121,26 +1148,7 @@ TEST(RunSpecParse, ServingSchedulerFlagErrors)
     RunSpec spec;
     std::string error;
 
-    // The deprecated alias cannot combine with the continuous batcher.
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "100", "--batcher", "continuous",
-         "--coalesce", "4"},
-        &spec, &error));
-    EXPECT_NE(error.find("deprecated alias"), std::string::npos);
-    EXPECT_NE(error.find("--max-batch"), std::string::npos);
-
-    // ... in either flag order.
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "100", "--coalesce", "4", "--batcher",
-         "continuous"},
-        &spec, &error));
-    EXPECT_NE(error.find("deprecated alias"), std::string::npos);
-
     // Batch-wait only means something under the continuous batcher.
-    spec = RunSpec();
     EXPECT_FALSE(runner::parseRunSpec(
         {"--workload", "av-mnist", "--mode", "serve", "--arrival",
          "poisson", "--rate", "100", "--batch-wait-us", "500"},
@@ -1339,112 +1347,6 @@ TEST(Runner, PipelinedContinuousServeMatchesUnpipelinedOutcomes)
     EXPECT_EQ(spec_json->find("batcher")->stringValue(), "continuous");
     EXPECT_EQ(spec_json->find("batch_wait_us")->intValue(), 300);
     EXPECT_TRUE(spec_json->find("pipeline")->boolValue());
-}
-
-// -------------------------------------------------- in-flight re-merge
-
-TEST(RunSpecParse, RemergeFlagParsesAndRoundTrips)
-{
-    RunSpec spec;
-    std::string error;
-    ASSERT_TRUE(runner::parseRunSpec(
-        {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--batcher", "continuous",
-         "--max-batch", "8", "--pipeline", "on", "--remerge", "on"},
-        &spec, &error))
-        << error;
-    EXPECT_TRUE(spec.remerge);
-
-    RunSpec reparsed;
-    ASSERT_TRUE(runner::parseRunSpec(spec.toArgs(), &reparsed, &error))
-        << error;
-    EXPECT_TRUE(reparsed.remerge);
-    EXPECT_TRUE(reparsed.pipelineServe);
-    EXPECT_EQ(reparsed.maxBatch, 8);
-
-    // Explicit off parses, and off is the default.
-    spec = RunSpec();
-    ASSERT_TRUE(runner::parseRunSpec(
-        {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--batcher", "continuous",
-         "--max-batch", "8", "--pipeline", "on", "--remerge", "off"},
-        &spec, &error))
-        << error;
-    EXPECT_FALSE(spec.remerge);
-    EXPECT_FALSE(RunSpec().remerge);
-}
-
-TEST(RunSpecParse, RemergeFlagErrors)
-{
-    RunSpec spec;
-    std::string error;
-
-    // Re-merge lives inside the stage pipeline.
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--batcher", "continuous",
-         "--max-batch", "8", "--remerge", "on"},
-        &spec, &error));
-    EXPECT_NE(error.find("--pipeline"), std::string::npos) << error;
-
-    // A merge can never fire when one request already fills the cap.
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--pipeline", "on", "--remerge",
-         "on"},
-        &spec, &error));
-    EXPECT_NE(error.find("--max-batch"), std::string::npos) << error;
-
-    // Only on/off are accepted.
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "transfuser", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--batcher", "continuous",
-         "--max-batch", "8", "--pipeline", "on", "--remerge", "maybe"},
-        &spec, &error));
-    EXPECT_NE(error.find("--remerge"), std::string::npos) << error;
-}
-
-TEST(Runner, RemergeServeJsonCarriesCountersOnlyWhenOn)
-{
-    RunSpec spec;
-    spec.workload = "transfuser";
-    spec.mode = RunMode::Serve;
-    spec.batch = 2;
-    spec.sizeScale = 0.35f;
-    spec.inflight = 2;
-    spec.requests = 8;
-    spec.arrival = pipeline::ArrivalKind::Fixed;
-    spec.rateRps = 2000.0;
-    spec.batcher = pipeline::BatcherKind::Continuous;
-    spec.maxBatch = 4;
-    spec.batchWaitUs = 300;
-    spec.pipelineServe = true;
-    spec.remerge = true;
-
-    const JsonValue on = recordFor(spec, "remerge_on");
-    const JsonValue *spec_json = on.find("spec");
-    ASSERT_NE(spec_json, nullptr);
-    EXPECT_TRUE(spec_json->find("remerge")->boolValue());
-    const JsonValue *serve = on.find("serve");
-    ASSERT_NE(serve, nullptr);
-    ASSERT_TRUE(serve->has("remerged_waves"));
-    ASSERT_TRUE(serve->has("remerged_requests"));
-    EXPECT_GE(serve->find("remerged_waves")->intValue(), 0);
-    EXPECT_GE(serve->find("remerged_requests")->intValue(),
-              serve->find("remerged_waves")->intValue());
-
-    // Off-path records must stay byte-compatible: no re-merge keys.
-    spec.remerge = false;
-    const JsonValue off = recordFor(spec, "remerge_off");
-    const JsonValue *off_spec = off.find("spec");
-    ASSERT_NE(off_spec, nullptr);
-    EXPECT_FALSE(off_spec->has("remerge"));
-    const JsonValue *off_serve = off.find("serve");
-    ASSERT_NE(off_serve, nullptr);
-    EXPECT_FALSE(off_serve->has("remerged_waves"));
-    EXPECT_FALSE(off_serve->has("remerged_requests"));
 }
 
 TEST(Runner, CoalesceBatchesSkipsTargetsOnTheServePath)

@@ -702,25 +702,26 @@ TEST(RequestLifecycle, ServiceResultsAggregateIntoStreamCounters)
 
 TEST(RequestLifecycle, DeadlinePressureHintsTheServiceFunction)
 {
-    // 1-slot server, instant arrivals, 2 ms service, 14 ms deadline:
-    // sequential dequeues land one service apart, the pressure window
-    // (remaining budget below one mean service) is one service wide,
-    // so exactly one mid-stream head must be flagged under pressure.
-    // The 7x deadline/service ratio keeps that true even when OS
-    // preemption stretches the sleeps — with a tight ratio a stretched
-    // first call expires the whole queue and everything sheds unseen.
-    const int total = 12;
+    // 1-slot server, two simultaneous arrivals, 20 ms service, 39 ms
+    // deadline. The first dispatch has no service history, so it is
+    // never flagged. The second is dequeued once the first service
+    // (span S, dispatched T after the stream start) ends, with budget
+    // 39 - T - S left against a running mean of S: it is flagged
+    // whenever T + 2S > 39 ms and shed only when T + S > 39 ms. A
+    // 20 ms sleep never ends early, so the flag holds unless dispatch
+    // delay and preemption together add 19 ms or more.
+    const int total = 2;
     std::atomic<int> pressured{0};
     ServeLoopOptions options;
     options.arrival = ArrivalKind::Fixed;
     options.rateRps = 1e6;
     options.inflight = 1;
-    options.deadlineUs = 14000.0;
+    options.deadlineUs = 39000.0;
     const ServeLoopResult result = pipeline::runServeLoop(
         total, options, [&](const pipeline::ServiceCall &call) {
             if (call.underPressure)
                 pressured.fetch_add(1);
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
             return pipeline::ServiceResult{};
         });
     EXPECT_GT(pressured.load(), 0);

@@ -369,8 +369,9 @@ TEST(Matmul, RowsBitwiseStableAcrossSizeCutoff)
 {
     // 2*64*512 = 65536 macs sits exactly at the small-GEMM cutoff, so
     // m=2 takes the small path while m=4 takes the blocked path. Serve
-    // re-merge grows the batch dim mid-flight, so a row's result must
-    // not depend on which side of the cutoff its batch landed.
+    // batching changes the batch dim a request runs at, so a row's
+    // result must not depend on which side of the cutoff its batch
+    // landed.
     Rng rng(11);
     Tensor a4 = Tensor::randn(Shape{4, 512}, rng);
     Tensor b = Tensor::randn(Shape{512, 64}, rng);

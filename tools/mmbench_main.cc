@@ -99,9 +99,6 @@ usage(FILE *to)
         "deadline_ms=50;batch:share=3'\n"
         "       --pipeline on|off  serve mode: overlap requests across\n"
         "                          pipeline stages (default off)\n"
-        "       --coalesce N       deprecated alias for --batcher "
-        "static\n"
-        "                          --max-batch N\n"
         "       --faults SPEC      serve mode: deterministic fault "
         "injection,\n"
         "                          e.g. 'slow:node=encoder:*:p=0.05:x=4;"
