@@ -109,8 +109,12 @@ run()
         smoke ? std::vector<double>{0.3, 1.5, 6.0}
               : std::vector<double>{0.25, 0.5, 0.8, 1.2, 2.0, 4.0};
 
+    // 1000 requests per sweep point: p99 is then the 990th-slowest
+    // request, with ten samples beyond it, so a single host stall
+    // cannot flip the monotone-p99 check CI runs over the smoke ladder.
     runner::RunSpec open = base;
     open.arrival = pipeline::ArrivalKind::Poisson;
+    open.requests = 1000;
     double top_rate = 0.0;
     std::vector<runner::RunResult> sweep;
     for (double f : fractions) {

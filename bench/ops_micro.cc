@@ -360,6 +360,51 @@ opsMicroMain(int argc, char **argv)
                   [&] { tensor::conv2d(x, w, Tensor(), 1, 0); });
     }
 
+    // --- Conv / pool at the shapes the benchmark workloads run -------
+    // One thread, as a serve slot runs them: medical-seg's dec1 and
+    // enc2 3x3 convs and its first 2x2 pool at batch 8, and
+    // transfuser's stride-2 conv at batch 2.
+    {
+        core::ScopedNumThreads serial(1);
+        const struct
+        {
+            const char *name;
+            int64_t n, c, hw, oc;
+            int stride;
+        } convs[] = {
+            {"conv3x3_seg_dec1", 8, 24, 32, 8, 1},
+            {"conv3x3_seg_enc2", 8, 8, 16, 16, 1},
+            {"conv3x3_tf_s2", 2, 8, 32, 16, 2},
+        };
+        for (const auto &cv : convs) {
+            Tensor x = Tensor::randn(Shape{cv.n, cv.c, cv.hw, cv.hw}, rng);
+            Tensor w = Tensor::randn(Shape{cv.oc, cv.c, 3, 3}, rng);
+            Tensor b = Tensor::randn(Shape{cv.oc}, rng);
+            const int64_t ohw = (cv.hw - 1) / cv.stride + 1;
+            h.compute(cv.name,
+                      strfmt("%lldx%lldx%lldx%lld->%lld k3s%dp1 t1",
+                             static_cast<long long>(cv.n),
+                             static_cast<long long>(cv.c),
+                             static_cast<long long>(cv.hw),
+                             static_cast<long long>(cv.hw),
+                             static_cast<long long>(cv.oc), cv.stride),
+                      2.0 * cv.n * cv.oc * ohw * ohw * cv.c * 9, [&] {
+                          tensor::conv2d(x, w, b, cv.stride, 1);
+                      });
+        }
+        Tensor x = Tensor::randn(Shape{8, 8, 32, 32}, rng);
+        h.bandwidth("maxpool2x2_seg", "8x8x32x32 t1",
+                    4.0 * 8 * 8 * 32 * 32,
+                    [&] { tensor::maxpool2d(x, 2, 2); });
+    }
+    {
+        // The fixed cost of one pool job: an empty body at 4 threads.
+        core::ScopedNumThreads four(4);
+        h.compute("parallel_for_dispatch", "empty job, 4 threads", 0.0, [] {
+            core::parallelFor(0, 64, 1, [](int64_t, int64_t) {});
+        });
+    }
+
     // --- Fused epilogue kernels (solver-registry candidates) --------
     // Each fused kernel is measured against its unfused multi-pass
     // expression: the fused variant applies bias+activation in the

@@ -439,6 +439,10 @@ conv2d(const Var &x, const Var &w, const Var &b, int stride, int pad)
 Var
 maxpool2d(const Var &x, int kernel, int stride)
 {
+    // Argmax indices only feed the backward closure: skip them (and
+    // their allocation) when this node records no graph.
+    if (!GradMode::enabled() || !x.needsGrad())
+        return Var(ts::maxpool2d(x.value(), kernel, stride), false);
     Tensor indices;
     Tensor out = ts::maxpool2d(x.value(), kernel, stride, &indices);
     return Var::makeNode(std::move(out), {x},

@@ -98,7 +98,10 @@ class ConvAutoSolver : public Solver
     }
 };
 
-/** im2col + blocked GEMM at any size. */
+/**
+ * The implicit GEMM lowering at any size (no column matrix; the name
+ * predates it and keys existing perf-db entries).
+ */
 class ConvIm2colSolver : public Solver
 {
   public:
@@ -248,7 +251,7 @@ class GemmDtMixedSolver : public Solver
 };
 
 /**
- * Reduced conv with a lowered input: the im2col columns carry the
+ * Reduced conv with a lowered input: the GEMM's B operand carries the
  * reduced payload (i8 quantizes both sides and accumulates in i32).
  */
 class ConvDtSolver : public Solver
@@ -283,7 +286,7 @@ class ConvDtSolver : public Solver
 };
 
 /**
- * Weights-only reduced conv: f32 im2col columns x reduced weights
+ * Weights-only reduced conv: the f32 image x reduced weights
  * (skips the input cast; not available for i8, whose i32 path needs
  * both operands quantized).
  */
@@ -341,7 +344,7 @@ Registry::Registry()
     // cast-both, compounding to rel-L2 > 1e-2, while f32 activations
     // x reduced weights stay well inside the accuracy bar and skip
     // the per-call activation cast. For conv the cast-both flavor
-    // leads: the im2col columns dominate the GEMM-operand bandwidth
+    // leads: the lowered input dominates the GEMM-operand bandwidth
     // (the actual speedup lever) and conv stacks are shallow enough
     // that the extra rounding stays harmless.
     for (DType dt : {DType::BF16, DType::F16, DType::I8}) {
@@ -556,7 +559,7 @@ runConv2d(const Tensor &x, const Tensor &w, const Tensor &bias, int stride,
     // conv reading <= 3 channels is the stem on raw sensor input.
     // Rounding the input before any learned redundancy exists injects
     // error that every downstream layer amplifies, and a 3-channel
-    // im2col moves too few bytes for reduced width to matter. Keep
+    // input moves too few bytes for reduced width to matter. Keep
     // the stem f32.
     if (desc.c <= kMaxF32StemChannels)
         desc.dtype = tensor::DType::F32;

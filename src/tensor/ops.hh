@@ -224,7 +224,13 @@ enum class GemmAlgo : uint8_t
 enum class ConvAlgo : uint8_t
 {
     Auto,   ///< production heuristic (direct below the MAC limit)
-    Im2col, ///< force im2col + blocked GEMM
+    /**
+     * Force the implicit GEMM lowering: the blocked GEMM packs its B
+     * panels straight from the image, and no column matrix is written.
+     * The name predates that lowering and stays, because perf-db
+     * entries store the solver as `conv_im2col`.
+     */
+    Im2col,
     Direct, ///< force the direct loop
 };
 /** @} */
@@ -313,7 +319,9 @@ Tensor expandTo(const Tensor &a, const Shape &target);
 /** @name Convolution / pooling (NCHW) @{ */
 /**
  * 2-D convolution. x: (N,C,H,W), w: (OC,C,KH,KW), optional bias (OC).
- * Emitted as a single Conv-class kernel (implicit-GEMM style).
+ * Runs as an implicit GEMM (see ConvAlgo::Im2col) above a per-image
+ * MAC limit and as a direct loop below it; emitted as a single
+ * Conv-class kernel either way.
  */
 Tensor conv2d(const Tensor &x, const Tensor &w, const Tensor &b,
               int stride, int pad);
@@ -324,7 +332,12 @@ Tensor conv2dGradInput(const Tensor &grad_out, const Tensor &w,
 Tensor conv2dGradWeight(const Tensor &grad_out, const Tensor &x,
                         const Shape &w_shape, int stride, int pad);
 
-/** Max pooling; indices receives flat argmax positions for backward. */
+/**
+ * Max pooling; indices receives flat argmax positions for backward.
+ * Without indices, 2x2/stride-2 pooling takes a branch-free loop that
+ * is bitwise the generic one (same tap order, same `>` rule); so does
+ * avgpool2d's 2x2/stride-2 case (same sum order).
+ */
 Tensor maxpool2d(const Tensor &x, int kernel, int stride,
                  Tensor *indices = nullptr);
 /** Scatter grad back through recorded maxpool indices. */
@@ -442,10 +455,12 @@ Tensor linearActDt(const Tensor &x, const Tensor &w, const Tensor &b,
                    ActKind act);
 /**
  * Reduced-precision conv2d forward. x is f32, w must be reduced.
- * `cast_input` additionally lowers the im2col operand to w's dtype
- * (halving the dominant GEMM-operand bandwidth); otherwise the
- * columns stay f32 (weights-only mixed input). bf16/f16 accumulate
- * in f32; i8 always quantizes the input and accumulates in i32.
+ * `cast_input` additionally lowers the input to w's dtype (halving
+ * the bandwidth of the GEMM operand the packs read it through);
+ * otherwise the input stays f32 (weights-only mixed input). bf16/f16
+ * read the image through the same implicit lowering as conv2d and
+ * accumulate in f32; i8 always quantizes the input, writes an explicit
+ * int8 column matrix and accumulates in i32.
  * Bias and output are f32.
  */
 Tensor conv2dActDt(const Tensor &x, const Tensor &w, const Tensor &b,

@@ -22,7 +22,7 @@ bool isSuffix(const Shape &small, const Shape &big);
 
 /**
  * One input of the blocked GEMM: base pointer plus element strides,
- * so transposed (and im2col-style strided) operands need no copy.
+ * so transposed operands need no copy.
  */
 struct GemmOperand
 {
@@ -51,7 +51,7 @@ struct Epilogue
  * when there is more than one, unless called from inside a parallel
  * region. Deterministic for any thread count, and each element is
  * bitwise the same on either path. Implemented in ops_matmul.cc;
- * conv2d's im2col path reuses it.
+ * conv2d reuses it through gemmBlockedDt and a ConvView B operand.
  *
  * When `epi` is non-null its bias/activation are applied to each
  * output element exactly once, immediately after the element's last
@@ -64,10 +64,28 @@ void gemmBlocked(const GemmOperand &a, const GemmOperand &b, float *c,
                  const Epilogue *epi = nullptr);
 
 /**
+ * Conv geometry through which a GEMM B operand reads one CHW image as
+ * its implicit column matrix (the matrix im2col would write):
+ * B[(ci*kh + ky)*kw + kx][oy*ow + ox] =
+ * x[ci][oy*stride - pad + ky][ox*stride - pad + kx], and 0 where that
+ * tap falls in the padding.
+ */
+struct ConvView
+{
+    int64_t h, w; ///< input plane extents
+    int kh, kw, stride, pad;
+    int64_t oh, ow; ///< output plane extents
+};
+
+/**
  * A dtype-tagged GEMM operand: like GemmOperand, but elements are
  * read through a converting loader selected by `dt` (i8 elements are
  * dequantized by `scale` while packing). With dt == F32 this
  * degenerates to GemmOperand and `scale` is ignored.
+ *
+ * A B operand with `conv` set is an image read through that view
+ * instead (`rs`/`cs` unused): the pack loop gathers each panel from
+ * the image, so no column matrix is ever written.
  */
 struct DtOperand
 {
@@ -76,6 +94,7 @@ struct DtOperand
     int64_t cs; ///< stride between columns (in elements)
     DType dt = DType::F32;
     float scale = 1.0f; ///< i8 dequantization scale
+    const ConvView *conv = nullptr; ///< B only: implicit im2col view
 };
 
 /**
@@ -83,7 +102,9 @@ struct DtOperand
  * and ascending k-order (deterministic for any thread count), with
  * f32 accumulation throughout. The element conversions run inside the
  * pack loops, so the register micro-kernel is reused unchanged;
- * gemmBlocked is its case with two F32 operands.
+ * gemmBlocked is its case with two F32 operands. A ConvView B always
+ * takes the packed path; its panels hold exactly the floats packing
+ * the explicit column matrix would, so C is bitwise the same.
  */
 void gemmBlockedDt(const DtOperand &a, const DtOperand &b, float *c,
                    int64_t m, int64_t k, int64_t n,

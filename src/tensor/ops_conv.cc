@@ -2,11 +2,20 @@
  * @file
  * Convolution and pooling operators (NCHW layout).
  *
- * Large convolutions are lowered to im2col + the shared blocked GEMM
- * (the same scheme cuDNN's implicit-GEMM algorithm uses); tiny shapes
+ * Large convolutions run as an implicit GEMM, the scheme cuDNN's
+ * IMPLICIT_GEMM algorithm uses: the shared blocked GEMM's B-pack loop
+ * reads each image through its conv geometry (detail::ConvView), so
+ * no column matrix is ever written, and the packed panels hold the
+ * same floats an explicit im2col would have produced. Tiny shapes
  * keep the direct loop, which also serves as the numerical reference
- * (conv2dReference). Either path is reported as one Conv-class kernel
- * launch, so the trace the simulator consumes is unchanged.
+ * (conv2dReference). The i8 path alone still writes an explicit int8
+ * column matrix, which its i32 kernel reads. Either path is reported
+ * as one Conv-class kernel launch, so the trace the simulator
+ * consumes is unchanged.
+ *
+ * 2x2/stride-2 max and average pooling without argmax indices take a
+ * branch-free loop over row pairs that visits the taps in the generic
+ * loop's order, so its output is bitwise the generic loop's.
  */
 
 #include "tensor/ops.hh"
@@ -36,8 +45,29 @@ outExtent(int64_t in, int kernel, int stride, int pad)
     return out;
 }
 
-/** Below this many MACs per image the direct loop beats im2col. */
+/** Below this many MACs per image the direct loop beats the GEMM. */
 constexpr int64_t kDirectConvMacLimit = 1 << 14;
+
+/**
+ * Streaming pooling kernels hand each parallel chunk at least this
+ * many input elements, so a small pool runs inline rather than paying
+ * a pool dispatch that costs more than the pooling itself.
+ */
+constexpr int64_t kPoolChunkElems = 1 << 18;
+
+/** parallelFor grain, in planes of `plane_elems` inputs each. */
+int64_t
+poolGrain(int64_t plane_elems)
+{
+    return std::max<int64_t>(1, kPoolChunkElems / plane_elems);
+}
+
+/** One max-pool tap: the generic loop's `>` rule as a select. */
+inline float
+maxTap(float best, float v)
+{
+    return v > best ? v : best;
+}
 
 /**
  * Direct-loop convolution of one image: out plane (oc, oh*ow),
@@ -84,62 +114,18 @@ convDirectImage(const float *xb, const float *pw, const float *pb,
 }
 
 /**
- * Lower one image to column form: col[(ci*kh+ky)*kw+kx][y*ow+xo] =
- * x[ci][y*stride-pad+ky][xo*stride-pad+kx] (0 outside the input).
- * col is (c*kh*kw) x (oh*ow), row-major.
+ * Bias-filled output plus one blocked GEMM for one image: out (oc x
+ * oh*ow) = bias + w (oc x kdim) * cols, where `cols` is the image read
+ * through its ConvView (or, for a 1x1/stride-1/unpadded conv, the
+ * image itself as a plain matrix). A fused activation rides the GEMM
+ * epilogue, reading the accumulated element (bias included) exactly
+ * as a separate pass would.
  */
 void
-im2col(const float *xb, float *col, int64_t c, int64_t h, int64_t wd,
-       int kh, int kw, int64_t oh, int64_t ow, int stride, int pad)
+convGemm(const detail::DtOperand &w, const detail::DtOperand &cols,
+         const float *pb, float *ob, int64_t oc, int64_t kdim, int64_t ohw,
+         ActKind act)
 {
-    core::parallelFor(0, c * kh * kw, 4, [&](int64_t r0, int64_t r1) {
-        for (int64_t r = r0; r < r1; ++r) {
-            const int64_t ci = r / (kh * kw);
-            const int ky = static_cast<int>((r / kw) % kh);
-            const int kx = static_cast<int>(r % kw);
-            const float *xplane = xb + ci * h * wd;
-            float *crow = col + r * oh * ow;
-            for (int64_t y = 0; y < oh; ++y) {
-                const int64_t iy = y * stride - pad + ky;
-                float *cdst = crow + y * ow;
-                if (iy < 0 || iy >= h) {
-                    std::fill(cdst, cdst + ow, 0.0f);
-                    continue;
-                }
-                const float *xrow = xplane + iy * wd;
-                const int64_t ix0 = -pad + kx;
-                if (stride == 1 && ix0 >= 0 && ix0 + ow <= wd) {
-                    std::copy(xrow + ix0, xrow + ix0 + ow, cdst);
-                    continue;
-                }
-                for (int64_t xo = 0; xo < ow; ++xo) {
-                    const int64_t ix = xo * stride + ix0;
-                    cdst[xo] = (ix < 0 || ix >= wd) ? 0.0f : xrow[ix];
-                }
-            }
-        }
-    });
-}
-
-/**
- * im2col + blocked GEMM for one image (bias pre-filled into out; a
- * fused activation rides the GEMM epilogue, reading the accumulated
- * element — bias included — exactly as a separate pass would).
- */
-void
-convGemmImage(const float *xb, const float *pw, const float *pb,
-              float *ob, float *col, int64_t c, int64_t h, int64_t wd,
-              int64_t oc, int kh, int kw, int64_t oh, int64_t ow,
-              int stride, int pad, ActKind act = ActKind::None)
-{
-    const int64_t kdim = c * kh * kw;
-    const int64_t ohw = oh * ow;
-    // 1x1/stride-1/no-pad convolution is a pure GEMM over the input.
-    const bool gemm_direct =
-        (kh == 1 && kw == 1 && stride == 1 && pad == 0);
-    if (!gemm_direct)
-        im2col(xb, col, c, h, wd, kh, kw, oh, ow, stride, pad);
-    const float *cols = gemm_direct ? xb : col;
     if (pb) {
         core::parallelFor(0, oc, 8, [&](int64_t o0, int64_t o1) {
             for (int64_t o = o0; o < o1; ++o)
@@ -149,40 +135,71 @@ convGemmImage(const float *xb, const float *pw, const float *pb,
         std::fill(ob, ob + oc * ohw, 0.0f);
     }
     if (act == ActKind::None) {
-        detail::gemmBlocked({pw, kdim, 1}, {cols, ohw, 1}, ob, oc, kdim,
-                            ohw);
+        detail::gemmBlockedDt(w, cols, ob, oc, kdim, ohw);
     } else {
         const detail::Epilogue epi{nullptr, act};
-        detail::gemmBlocked({pw, kdim, 1}, {cols, ohw, 1}, ob, oc, kdim,
-                            ohw, &epi);
+        detail::gemmBlockedDt(w, cols, ob, oc, kdim, ohw, &epi);
     }
 }
 
 /**
- * im2col over reduced-precision elements: identical layout and
- * zero-padding rules, but the elements move untouched (the input was
- * already cast), so the column buffer carries the reduced payload.
+ * The GEMM B operand for one image: the image itself when the conv is
+ * 1x1/stride-1/unpadded (its column matrix is the image), otherwise
+ * the image read through `view`.
  */
-template <typename T>
+detail::DtOperand
+imageCols(const void *xb, DType dt, const detail::ConvView &view)
+{
+    if (view.kh == 1 && view.kw == 1 && view.stride == 1 && view.pad == 0)
+        return detail::DtOperand{xb, view.oh * view.ow, 1, dt, 1.0f};
+    return detail::DtOperand{xb, 0, 0, dt, 1.0f, &view};
+}
+
+/**
+ * Run image(ni) for every image: spread over the pool when there are
+ * at least as many images as threads (each image's kernels then run
+ * serially inside its worker), else one after another so each image
+ * parallelizes inside instead.
+ */
+template <typename Fn>
 void
-im2colT(const T *xb, T *col, int64_t c, int64_t h, int64_t wd, int kh,
-        int kw, int64_t oh, int64_t ow, int stride, int pad)
+forEachImage(int64_t n, const Fn &image)
+{
+    if (n >= core::numThreads()) {
+        core::parallelFor(0, n, 1, [&](int64_t n0, int64_t n1) {
+            for (int64_t ni = n0; ni < n1; ++ni)
+                image(ni);
+        });
+    } else {
+        for (int64_t ni = 0; ni < n; ++ni)
+            image(ni);
+    }
+}
+
+/**
+ * Lower one i8 image to its explicit column matrix (the i32 kernel
+ * reads columns): colq[(ci*kh+ky)*kw+kx][y*ow+xo] =
+ * x[ci][y*stride-pad+ky][xo*stride-pad+kx], 0 outside the input.
+ */
+void
+im2colI8(const int8_t *xb, int8_t *col, int64_t c, int64_t h, int64_t wd,
+         int kh, int kw, int64_t oh, int64_t ow, int stride, int pad)
 {
     core::parallelFor(0, c * kh * kw, 4, [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
             const int64_t ci = r / (kh * kw);
             const int ky = static_cast<int>((r / kw) % kh);
             const int kx = static_cast<int>(r % kw);
-            const T *xplane = xb + ci * h * wd;
-            T *crow = col + r * oh * ow;
+            const int8_t *xplane = xb + ci * h * wd;
+            int8_t *crow = col + r * oh * ow;
             for (int64_t y = 0; y < oh; ++y) {
                 const int64_t iy = y * stride - pad + ky;
-                T *cdst = crow + y * ow;
+                int8_t *cdst = crow + y * ow;
                 if (iy < 0 || iy >= h) {
-                    std::fill(cdst, cdst + ow, static_cast<T>(0));
+                    std::fill(cdst, cdst + ow, static_cast<int8_t>(0));
                     continue;
                 }
-                const T *xrow = xplane + iy * wd;
+                const int8_t *xrow = xplane + iy * wd;
                 const int64_t ix0 = -pad + kx;
                 if (stride == 1 && ix0 >= 0 && ix0 + ow <= wd) {
                     std::copy(xrow + ix0, xrow + ix0 + ow, cdst);
@@ -190,12 +207,22 @@ im2colT(const T *xb, T *col, int64_t c, int64_t h, int64_t wd, int kh,
                 }
                 for (int64_t xo = 0; xo < ow; ++xo) {
                     const int64_t ix = xo * stride + ix0;
-                    cdst[xo] = (ix < 0 || ix >= wd) ? static_cast<T>(0)
+                    cdst[xo] = (ix < 0 || ix >= wd) ? static_cast<int8_t>(0)
                                                     : xrow[ix];
                 }
             }
         }
     });
+}
+
+/** Grow-only per-thread i8 column buffer (one image's columns). */
+int8_t *
+i8ColBuffer(int64_t elems)
+{
+    thread_local std::vector<int8_t> buf;
+    if (buf.size() < static_cast<size_t>(elems))
+        buf.resize(static_cast<size_t>(elems));
+    return buf.data();
 }
 
 /**
@@ -262,10 +289,11 @@ fusedConvName(bool bias, ActKind act)
 }
 
 /**
- * Shared driver for conv2d / conv2dAct. The three-way dispatch
- * (direct for tiny shapes, parallel-over-images, few-images) is the
- * production heuristic; ConvAlgo::Im2col / ConvAlgo::Direct pin one
- * lowering for the solver registry's candidates.
+ * Shared body of conv2d / conv2dAct. The production heuristic
+ * (ConvAlgo::Auto) runs the direct loop below kDirectConvMacLimit MACs
+ * per image and the implicit GEMM lowering above it;
+ * ConvAlgo::Im2col / ConvAlgo::Direct pin one lowering for the solver
+ * registry's candidates.
  */
 Tensor
 conv2dImpl(const Tensor &x, const Tensor &w, const Tensor &b, int stride,
@@ -299,25 +327,15 @@ conv2dImpl(const Tensor &x, const Tensor &w, const Tensor &b, int stride,
                                 po + ni * oc * oh * ow, c, h, wd, oc,
                                 kh, kw, oh, ow, stride, pad, act);
         });
-    } else if (n >= core::numThreads()) {
-        // Parallel over images; per-image lowering+GEMM runs serially
-        // inside its worker.
-        core::parallelFor(0, n, 1, [&](int64_t n0, int64_t n1) {
-            std::vector<float> col(
-                static_cast<size_t>(c * kh * kw) * oh * ow);
-            for (int64_t ni = n0; ni < n1; ++ni)
-                convGemmImage(px + ni * c * h * wd, pw, pb,
-                              po + ni * oc * oh * ow, col.data(), c, h,
-                              wd, oc, kh, kw, oh, ow, stride, pad, act);
-        });
     } else {
-        // Few images: parallelize inside im2col and the GEMM instead.
-        std::vector<float> col(static_cast<size_t>(c * kh * kw) * oh *
-                               ow);
-        for (int64_t ni = 0; ni < n; ++ni)
-            convGemmImage(px + ni * c * h * wd, pw, pb,
-                          po + ni * oc * oh * ow, col.data(), c, h, wd,
-                          oc, kh, kw, oh, ow, stride, pad, act);
+        const int64_t kdim = c * kh * kw;
+        const int64_t ohw = oh * ow;
+        const detail::ConvView view{h, wd, kh, kw, stride, pad, oh, ow};
+        const detail::DtOperand wop{pw, kdim, 1};
+        forEachImage(n, [&](int64_t ni) {
+            convGemm(wop, imageCols(px + ni * c * h * wd, DType::F32, view),
+                     pb, po + ni * oc * ohw, oc, kdim, ohw, act);
+        });
     }
 
     const uint64_t flops = 2ULL * static_cast<uint64_t>(n * oc * oh * ow) *
@@ -384,93 +402,29 @@ conv2dActDt(const Tensor &x, const Tensor &w, const Tensor &b, int stride,
         const float dequant = xq.quantScale() * w.quantScale();
         const int8_t *px = xq.i8Data();
         const int8_t *pw = w.i8Data();
-        const auto run_image = [&](int64_t ni, int8_t *col) {
-            const int8_t *xb = px + ni * c * h * wd;
-            const int8_t *cols = xb;
+        forEachImage(n, [&](int64_t ni) {
+            const int8_t *cols = px + ni * c * h * wd;
             if (!gemm_direct) {
-                im2colT<int8_t>(xb, col, c, h, wd, kh, kw, oh, ow,
-                                stride, pad);
+                int8_t *col = i8ColBuffer(kdim * ohw);
+                im2colI8(cols, col, c, h, wd, kh, kw, oh, ow, stride, pad);
                 cols = col;
             }
             convI8Image(cols, pw, pb, po + ni * oc * ohw, oc, kdim, ohw,
                         dequant, act);
-        };
-        if (n >= core::numThreads()) {
-            core::parallelFor(0, n, 1, [&](int64_t n0, int64_t n1) {
-                std::vector<int8_t> col(
-                    gemm_direct ? 0 : static_cast<size_t>(kdim * ohw));
-                for (int64_t ni = n0; ni < n1; ++ni)
-                    run_image(ni, col.data());
-            });
-        } else {
-            std::vector<int8_t> col(
-                gemm_direct ? 0 : static_cast<size_t>(kdim * ohw));
-            for (int64_t ni = 0; ni < n; ++ni)
-                run_image(ni, col.data());
-        }
+        });
     } else {
-        const detail::DtOperand oa{w.rawData(), kdim, 1, dt, 1.0f};
-        const uint16_t *pxq = lower_input ? xq.u16Data() : nullptr;
-        const float *pxf = lower_input ? nullptr : x.data();
-        const auto run_image = [&](int64_t ni, void *col) {
-            float *ob = po + ni * oc * ohw;
-            detail::DtOperand obp{nullptr, ohw, 1, DType::F32, 1.0f};
-            if (lower_input) {
-                const uint16_t *xb = pxq + ni * c * h * wd;
-                const uint16_t *cols = xb;
-                if (!gemm_direct) {
-                    uint16_t *c16 = static_cast<uint16_t *>(col);
-                    im2colT<uint16_t>(xb, c16, c, h, wd, kh, kw, oh, ow,
-                                      stride, pad);
-                    cols = c16;
-                }
-                obp = detail::DtOperand{cols, ohw, 1, dt, 1.0f};
-            } else {
-                const float *xb = pxf + ni * c * h * wd;
-                const float *cols = xb;
-                if (!gemm_direct) {
-                    float *cf = static_cast<float *>(col);
-                    im2col(xb, cf, c, h, wd, kh, kw, oh, ow, stride, pad);
-                    cols = cf;
-                }
-                obp = detail::DtOperand{cols, ohw, 1, DType::F32, 1.0f};
-            }
-            if (pb) {
-                core::parallelFor(0, oc, 8, [&](int64_t o0, int64_t o1) {
-                    for (int64_t o = o0; o < o1; ++o)
-                        std::fill(ob + o * ohw, ob + (o + 1) * ohw,
-                                  pb[o]);
-                });
-            } else {
-                std::fill(ob, ob + oc * ohw, 0.0f);
-            }
-            if (act == ActKind::None) {
-                detail::gemmBlockedDt(oa, obp, ob, oc, kdim, ohw);
-            } else {
-                const detail::Epilogue epi{nullptr, act};
-                detail::gemmBlockedDt(oa, obp, ob, oc, kdim, ohw, &epi);
-            }
-        };
-        const size_t col_elems =
-            gemm_direct ? 0 : static_cast<size_t>(kdim * ohw);
-        if (n >= core::numThreads()) {
-            core::parallelFor(0, n, 1, [&](int64_t n0, int64_t n1) {
-                std::vector<uint16_t> col16(lower_input ? col_elems : 0);
-                std::vector<float> colf(lower_input ? 0 : col_elems);
-                void *col = lower_input
-                                ? static_cast<void *>(col16.data())
-                                : static_cast<void *>(colf.data());
-                for (int64_t ni = n0; ni < n1; ++ni)
-                    run_image(ni, col);
-            });
-        } else {
-            std::vector<uint16_t> col16(lower_input ? col_elems : 0);
-            std::vector<float> colf(lower_input ? 0 : col_elems);
-            void *col = lower_input ? static_cast<void *>(col16.data())
-                                    : static_cast<void *>(colf.data());
-            for (int64_t ni = 0; ni < n; ++ni)
-                run_image(ni, col);
-        }
+        // bf16/f16 weights; the image (lowered or f32) is read through
+        // the same implicit column view as the f32 path.
+        const detail::DtOperand wop{w.rawData(), kdim, 1, dt, 1.0f};
+        const detail::ConvView view{h, wd, kh, kw, stride, pad, oh, ow};
+        forEachImage(n, [&](int64_t ni) {
+            const detail::DtOperand cols =
+                lower_input
+                    ? imageCols(xq.u16Data() + ni * c * h * wd, dt, view)
+                    : imageCols(x.data() + ni * c * h * wd, DType::F32,
+                                view);
+            convGemm(wop, cols, pb, po + ni * oc * ohw, oc, kdim, ohw, act);
+        });
     }
 
     const uint64_t flops = 2ULL * static_cast<uint64_t>(n * oc * oh * ow) *
@@ -644,37 +598,59 @@ maxpool2d(const Tensor &x, int kernel, int stride, Tensor *indices)
     float *po = out.data();
     float *pi = indices ? indices->data() : nullptr;
 
-    core::parallelFor(0, n * c, 4, [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) {
-        const float *plane = px + p * h * w;
-        float *oplane = po + p * oh * ow;
-        float *iplane = pi ? pi + p * oh * ow : nullptr;
-        for (int64_t y = 0; y < oh; ++y) {
-            for (int64_t xo = 0; xo < ow; ++xo) {
-                float best = -std::numeric_limits<float>::infinity();
-                int64_t best_idx = 0;
-                for (int ky = 0; ky < kernel; ++ky) {
-                    for (int kx = 0; kx < kernel; ++kx) {
-                        const int64_t iy = y * stride + ky;
-                        const int64_t ix = xo * stride + kx;
-                        if (iy >= h || ix >= w)
-                            continue;
-                        const int64_t flat = iy * w + ix;
-                        if (plane[flat] > best) {
-                            best = plane[flat];
-                            best_idx = flat;
-                        }
+    if (kernel == 2 && stride == 2 && !pi) {
+        // Every 2x2 window lies inside the plane (oh = h/2, ow = w/2).
+        core::parallelFor(0, n * c, poolGrain(h * w),
+                          [&](int64_t p0, int64_t p1) {
+            for (int64_t p = p0; p < p1; ++p) {
+                for (int64_t y = 0; y < oh; ++y) {
+                    const float *r0 = px + p * h * w + 2 * y * w;
+                    const float *r1 = r0 + w;
+                    float *orow = po + p * oh * ow + y * ow;
+                    for (int64_t xo = 0; xo < ow; ++xo) {
+                        float best = -std::numeric_limits<float>::infinity();
+                        best = maxTap(best, r0[2 * xo]);
+                        best = maxTap(best, r0[2 * xo + 1]);
+                        best = maxTap(best, r1[2 * xo]);
+                        best = maxTap(best, r1[2 * xo + 1]);
+                        orow[xo] = best;
                     }
                 }
-                oplane[y * ow + xo] = best;
-                if (iplane) {
-                    iplane[y * ow + xo] =
-                        static_cast<float>(p * h * w + best_idx);
+            }
+        });
+    } else {
+        core::parallelFor(0, n * c, 4, [&](int64_t p0, int64_t p1) {
+        for (int64_t p = p0; p < p1; ++p) {
+            const float *plane = px + p * h * w;
+            float *oplane = po + p * oh * ow;
+            float *iplane = pi ? pi + p * oh * ow : nullptr;
+            for (int64_t y = 0; y < oh; ++y) {
+                for (int64_t xo = 0; xo < ow; ++xo) {
+                    float best = -std::numeric_limits<float>::infinity();
+                    int64_t best_idx = 0;
+                    for (int ky = 0; ky < kernel; ++ky) {
+                        for (int kx = 0; kx < kernel; ++kx) {
+                            const int64_t iy = y * stride + ky;
+                            const int64_t ix = xo * stride + kx;
+                            if (iy >= h || ix >= w)
+                                continue;
+                            const int64_t flat = iy * w + ix;
+                            if (plane[flat] > best) {
+                                best = plane[flat];
+                                best_idx = flat;
+                            }
+                        }
+                    }
+                    oplane[y * ow + xo] = best;
+                    if (iplane) {
+                        iplane[y * ow + xo] =
+                            static_cast<float>(p * h * w + best_idx);
+                    }
                 }
             }
         }
+        });
     }
-    });
     trace::emitKernel(trace::KernelClass::Pooling, "maxpool2d",
                       static_cast<uint64_t>(n * c * oh * ow) *
                           static_cast<uint64_t>(kernel * kernel),
@@ -711,26 +687,49 @@ avgpool2d(const Tensor &x, int kernel, int stride)
     Tensor out(Shape{n, c, oh, ow});
     const float *px = x.data();
     float *po = out.data();
-    core::parallelFor(0, n * c, 4, [&](int64_t p0, int64_t p1) {
-    for (int64_t p = p0; p < p1; ++p) {
-        const float *plane = px + p * h * w;
-        float *oplane = po + p * oh * ow;
-        for (int64_t y = 0; y < oh; ++y) {
-            for (int64_t xo = 0; xo < ow; ++xo) {
-                float acc = 0.0f;
-                for (int ky = 0; ky < kernel; ++ky) {
-                    for (int kx = 0; kx < kernel; ++kx) {
-                        const int64_t iy = y * stride + ky;
-                        const int64_t ix = xo * stride + kx;
-                        if (iy < h && ix < w)
-                            acc += plane[iy * w + ix];
+    if (kernel == 2 && stride == 2) {
+        // The generic loop's sum order, starting from 0.0f as it does
+        // (so an all -0 window still averages to +0).
+        core::parallelFor(0, n * c, poolGrain(h * w),
+                          [&](int64_t p0, int64_t p1) {
+            for (int64_t p = p0; p < p1; ++p) {
+                for (int64_t y = 0; y < oh; ++y) {
+                    const float *r0 = px + p * h * w + 2 * y * w;
+                    const float *r1 = r0 + w;
+                    float *orow = po + p * oh * ow + y * ow;
+                    for (int64_t xo = 0; xo < ow; ++xo) {
+                        float acc = 0.0f;
+                        acc += r0[2 * xo];
+                        acc += r0[2 * xo + 1];
+                        acc += r1[2 * xo];
+                        acc += r1[2 * xo + 1];
+                        orow[xo] = acc * inv;
                     }
                 }
-                oplane[y * ow + xo] = acc * inv;
+            }
+        });
+    } else {
+        core::parallelFor(0, n * c, 4, [&](int64_t p0, int64_t p1) {
+        for (int64_t p = p0; p < p1; ++p) {
+            const float *plane = px + p * h * w;
+            float *oplane = po + p * oh * ow;
+            for (int64_t y = 0; y < oh; ++y) {
+                for (int64_t xo = 0; xo < ow; ++xo) {
+                    float acc = 0.0f;
+                    for (int ky = 0; ky < kernel; ++ky) {
+                        for (int kx = 0; kx < kernel; ++kx) {
+                            const int64_t iy = y * stride + ky;
+                            const int64_t ix = xo * stride + kx;
+                            if (iy < h && ix < w)
+                                acc += plane[iy * w + ix];
+                        }
+                    }
+                    oplane[y * ow + xo] = acc * inv;
+                }
             }
         }
+        });
     }
-    });
     trace::emitKernel(trace::KernelClass::Pooling, "avgpool2d",
                       static_cast<uint64_t>(n * c * oh * ow) *
                           static_cast<uint64_t>(kernel * kernel),

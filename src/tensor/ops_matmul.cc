@@ -6,7 +6,10 @@
  * an MR x NR register micro-kernel) parallelized over row blocks via
  * the core parallel runtime. Operands are read through (row, col)
  * element strides, so the transposed variants matmulNT / matmulTN run
- * at full speed without materializing a transposed copy.
+ * at full speed without materializing a transposed copy. A B operand
+ * may instead be an image read through its conv geometry
+ * (detail::ConvView): conv2d's implicit GEMM, whose B panels are
+ * gathered from the image without a column matrix.
  *
  * The k-dimension is always accumulated sequentially (block by block,
  * ascending), so results are bitwise identical for any thread count.
@@ -150,12 +153,157 @@ packBDtT(const detail::DtOperand &b, int64_t j0, int64_t nr, int64_t p0,
     }
 }
 
+/** o[t] = src[t] widened to f32 for t < N (restrict: vector moves). */
+template <DType DT, int64_t N>
+inline void
+loadFixed(float *__restrict o, const typename ElemLoader<DT>::T *__restrict src,
+          float scale)
+{
+    for (int64_t t = 0; t < N; ++t)
+        o[t] = ElemLoader<DT>::load(src + t, scale);
+}
+
+/** o[t] = src[2 * t] widened to f32 for t < NR (a stride-2 panel row). */
+template <DType DT>
+inline void
+loadStride2(float *__restrict o,
+            const typename ElemLoader<DT>::T *__restrict src, float scale)
+{
+    for (int64_t t = 0; t < NR; ++t)
+        o[t] = ElemLoader<DT>::load(src + 2 * t, scale);
+}
+
+/**
+ * o[t] = src[t * s] widened to f32 for t < n <= NR. Unit stride copies
+ * in two overlapping fixed-width chunks, as memcpy does, so a short
+ * span costs a few vector moves and no library call.
+ */
+template <DType DT>
+inline void
+loadSpan(float *o, const typename ElemLoader<DT>::T *src, int64_t n,
+         int64_t s, float scale)
+{
+    if (s == 2 && n == NR) {
+        loadStride2<DT>(o, src, scale);
+    } else if (s != 1) {
+        for (int64_t t = 0; t < n; ++t)
+            o[t] = ElemLoader<DT>::load(src + t * s, scale);
+    } else if (n >= 8) {
+        loadFixed<DT, 8>(o, src, scale);
+        loadFixed<DT, 8>(o + n - 8, src + n - 8, scale);
+    } else if (n >= 4) {
+        loadFixed<DT, 4>(o, src, scale);
+        loadFixed<DT, 4>(o + n - 4, src + n - 4, scale);
+    } else {
+        for (int64_t t = 0; t < n; ++t)
+            o[t] = ElemLoader<DT>::load(src + t, scale);
+    }
+}
+
+/** Where one run of a ConvView panel reads at one tap (ky, kx). */
+struct ConvSpan
+{
+    int64_t off; ///< plane offset of the run's first pixel's input
+    int64_t lo;  ///< pixels [lo, hi) read off + t * stride; the rest 0
+    int64_t hi;
+    bool whole;  ///< all NR pixels, unit stride: one unclipped copy
+};
+
+thread_local std::vector<ConvSpan> t_convSpans;
+
+/**
+ * Pack the same panel of a ConvView B straight from the image: row kk
+ * is tap (ci, ky, kx), column j output pixel (oy, ox). The panel's
+ * columns split into runs along one output row. Where each run reads
+ * at each (ky, kx), and how much of it falls in the padding, is the
+ * same for every input channel, so that table is built once per panel;
+ * rows then copy channel by channel (a channel's taps read a few
+ * neighbouring input rows), zero-filling the padded pixels.
+ */
+template <DType DT>
+void
+packBConvT(const detail::DtOperand &b, int64_t j0, int64_t nr, int64_t p0,
+           int64_t kc, float *dst)
+{
+    typedef typename ElemLoader<DT>::T T;
+    const detail::ConvView &v = *b.conv;
+    const T *image = static_cast<const T *>(b.p);
+    // Run r: panel columns [j, j + len) on output row oy from column ox.
+    struct Run
+    {
+        int64_t j, len, oy, ox;
+    };
+    Run runs[NR];
+    int nruns = 0;
+    for (int64_t j = 0, oy = j0 / v.ow, ox = j0 % v.ow; j < nr;
+         ++oy, ox = 0) {
+        const int64_t len = std::min(nr - j, v.ow - ox);
+        runs[nruns++] = Run{j, len, oy, ox};
+        j += len;
+    }
+
+    // ceil(a / s) for a >= 0, without a division at stride 1.
+    const int64_t s = v.stride;
+    const auto ceilDiv = [s](int64_t a) {
+        return s == 1 ? a : (a + s - 1) / s;
+    };
+    const int64_t taps = static_cast<int64_t>(v.kh) * v.kw;
+    if (t_convSpans.size() < static_cast<size_t>(taps * nruns))
+        t_convSpans.resize(static_cast<size_t>(taps * nruns));
+    ConvSpan *spans = t_convSpans.data();
+    for (int64_t tap = 0, ky = 0, kx = 0; tap < taps; ++tap) {
+        for (int r = 0; r < nruns; ++r) {
+            const int64_t iy = runs[r].oy * s - v.pad + ky;
+            const int64_t ix = runs[r].ox * s - v.pad + kx;
+            const int64_t len = runs[r].len;
+            ConvSpan &sp = spans[tap * nruns + r];
+            sp.off = iy * v.w + ix;
+            sp.lo = std::min(len, ix >= 0 ? 0 : ceilDiv(-ix));
+            sp.hi = iy < 0 || iy >= v.h || ix >= v.w
+                        ? sp.lo
+                        : std::max(sp.lo, std::min(len, ceilDiv(v.w - ix)));
+            sp.whole = s == 1 && sp.lo == 0 && sp.hi == NR;
+        }
+        if (++kx == v.kw) {
+            kx = 0;
+            ++ky;
+        }
+    }
+
+    const int64_t plane = v.h * v.w;
+    int64_t ci = p0 / taps;
+    int64_t tap = p0 % taps;
+    for (int64_t kk = 0; kk < kc; ++kk) {
+        const T *src = image + ci * plane;
+        const ConvSpan *row = spans + tap * nruns;
+        float *out = dst + kk * NR;
+        if (row->whole) {
+            loadFixed<DT, NR>(out, src + row->off, b.scale);
+        } else {
+            std::fill(out, out + NR, 0.0f);
+            for (int r = 0; r < nruns; ++r) {
+                if (row[r].hi > row[r].lo)
+                    loadSpan<DT>(out + runs[r].j + row[r].lo,
+                                 src + (row[r].off + row[r].lo * s),
+                                 row[r].hi - row[r].lo, s, b.scale);
+            }
+        }
+        if (++tap == taps) {
+            tap = 0;
+            ++ci;
+        }
+    }
+}
+
 void
 packBDt(const detail::DtOperand &b, int64_t j0, int64_t nr, int64_t p0,
         int64_t kc, float *dst)
 {
     dispatchDType(b.dt, [&](auto dtc) {
-        packBDtT<decltype(dtc)::value>(b, j0, nr, p0, kc, dst);
+        if (b.conv != nullptr)
+            packBConvT<decltype(dtc)::value>(b, j0, nr, p0, kc, dst);
+        else
+            packBDtT<decltype(dtc)::value>(b, j0, nr, p0, kc, dst);
     });
 }
 
@@ -413,14 +561,15 @@ gemmBlocked(const GemmOperand &a, const GemmOperand &b, float *c,
 
 /**
  * C[M,N] += A[M,K] * B[K,N] over dtype-tagged operands: small problems
- * take the row loop, everything else the packed micro-kernel, whose
- * pack loops convert each element to f32 as they copy it.
+ * take the row loop, everything else (and every ConvView B) the packed
+ * micro-kernel, whose pack loops convert each element to f32 as they
+ * copy it.
  */
 void
 gemmBlockedDt(const DtOperand &a, const DtOperand &b, float *c, int64_t m,
               int64_t k, int64_t n, const Epilogue *epi)
 {
-    if (useRowLoop(b.cs, m, k, n)) {
+    if (b.conv == nullptr && useRowLoop(b.cs, m, k, n)) {
         dispatchDType(a.dt, [&](auto adtc) {
             dispatchDType(b.dt, [&](auto bdtc) {
                 gemmRows<decltype(adtc)::value, decltype(bdtc)::value>(

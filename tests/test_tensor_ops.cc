@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "autograd/ops.hh"
 #include "core/parallel.hh"
 #include "tensor/ops.hh"
+#include "tensor/ops_common.hh"
+#include "tensor/pool.hh"
 #include "trace/sink.hh"
 
 namespace mmbench {
@@ -22,6 +26,15 @@ Tensor
 t2(std::initializer_list<float> v, int64_t r, int64_t c)
 {
     return Tensor::fromVector(Shape{r, c}, std::vector<float>(v));
+}
+
+/** Bitwise equality (NaN payloads and signed zeros included). */
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
 }
 
 TEST(Elementwise, AddSameShape)
@@ -735,6 +748,103 @@ TEST(Pool, MaxPoolBackwardScattersToArgmax)
     EXPECT_EQ(gx.toVector(), (std::vector<float>{0, 0, 0, 10}));
 }
 
+/**
+ * The generic pooling loop, kept as the reference for the 2x2 fast
+ * paths: taps visited row by row, `>` for max (first max wins, NaN
+ * never wins, an all-NaN window gives -inf), sum from 0.0f for avg.
+ */
+Tensor
+genericPool2x2(const Tensor &x, bool max)
+{
+    const int64_t planes = x.size(0) * x.size(1);
+    const int64_t h = x.size(2), w = x.size(3);
+    const int64_t oh = h / 2, ow = w / 2;
+    Tensor out(Shape{x.size(0), x.size(1), oh, ow});
+    for (int64_t p = 0; p < planes; ++p) {
+        const float *plane = x.data() + p * h * w;
+        for (int64_t y = 0; y < oh; ++y) {
+            for (int64_t xo = 0; xo < ow; ++xo) {
+                float acc = max ? -std::numeric_limits<float>::infinity()
+                                : 0.0f;
+                for (int ky = 0; ky < 2; ++ky) {
+                    for (int kx = 0; kx < 2; ++kx) {
+                        const float v =
+                            plane[(2 * y + ky) * w + 2 * xo + kx];
+                        if (!max)
+                            acc += v;
+                        else if (v > acc)
+                            acc = v;
+                    }
+                }
+                out.data()[(p * oh + y) * ow + xo] = max ? acc : acc * 0.25f;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Pool, TwoByTwoFastPathMatchesGenericLoop)
+{
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float inf = std::numeric_limits<float>::infinity();
+    Rng rng(77);
+    const Shape shapes[] = {Shape{1, 1, 2, 2},  Shape{2, 3, 5, 7},
+                            Shape{1, 2, 9, 4},  Shape{3, 1, 8, 3},
+                            Shape{8, 8, 32, 32}, Shape{2, 5, 33, 17}};
+    for (const Shape &shape : shapes) {
+        Tensor x = Tensor::randn(shape, rng);
+        // Sprinkle the awkward values: NaN, -0/+0 ties, -inf.
+        const float specials[] = {nan, -0.0f, 0.0f, -inf, inf};
+        for (int64_t i = 0; i < x.numel(); ++i) {
+            if (rng.randint(0, 3) == 0)
+                x.data()[i] = specials[rng.randint(0, 4)];
+        }
+        for (const int threads : {1, 4}) {
+            core::ScopedNumThreads scope(threads);
+            EXPECT_TRUE(sameBits(maxpool2d(x, 2, 2), genericPool2x2(x, true)))
+                << shape.toString() << " threads=" << threads;
+            EXPECT_TRUE(sameBits(avgpool2d(x, 2, 2), genericPool2x2(x, false)))
+                << shape.toString() << " threads=" << threads;
+            // With indices (training) maxpool keeps the generic loop.
+            Tensor idx;
+            EXPECT_TRUE(sameBits(maxpool2d(x, 2, 2, &idx),
+                                 genericPool2x2(x, true)));
+        }
+    }
+    // Windows with exact answers: a -0/+0 tie keeps the first visited
+    // zero, NaN never wins, an all-NaN window gives -inf, and an all
+    // -0 window averages to +0.
+    const Tensor x = Tensor::fromVector(
+        Shape{1, 1, 2, 8}, {-0.0f, 0.0f, nan, 1.0f, nan, nan, -0.0f, -0.0f,
+                            0.0f, -0.0f, nan, nan, nan, nan, -0.0f, -0.0f});
+    const Tensor mx = maxpool2d(x, 2, 2);
+    EXPECT_TRUE(std::signbit(mx.at(0)) && mx.at(0) == 0.0f);
+    EXPECT_EQ(mx.at(1), 1.0f);
+    EXPECT_EQ(mx.at(2), -inf);
+    const Tensor av = avgpool2d(x, 2, 2);
+    EXPECT_TRUE(av.at(3) == 0.0f && !std::signbit(av.at(3)));
+    EXPECT_TRUE(sameBits(mx, genericPool2x2(x, true)));
+    EXPECT_TRUE(sameBits(av, genericPool2x2(x, false)));
+}
+
+TEST(Pool, NoGradMaxPoolSkipsIndices)
+{
+    Rng rng(78);
+    const autograd::Var x(Tensor::randn(Shape{1, 2, 6, 6}, rng), true);
+    tensor::MemoryPool &pool = tensor::MemoryPool::instance();
+    {
+        autograd::NoGradGuard no_grad;
+        const uint64_t before = pool.stats().requests;
+        const autograd::Var y = autograd::maxpool2d(x, 2, 2);
+        EXPECT_EQ(pool.stats().requests - before, 1u); // the output only
+        EXPECT_TRUE(sameBits(y.value(), maxpool2d(x.value(), 2, 2)));
+    }
+    // Recording a graph still keeps the argmax for backward.
+    const uint64_t before = pool.stats().requests;
+    const autograd::Var y = autograd::maxpool2d(x, 2, 2);
+    EXPECT_EQ(pool.stats().requests - before, 2u); // output + indices
+}
+
 TEST(Pool, AvgPool)
 {
     Tensor x = Tensor::fromVector(Shape{1, 1, 2, 2}, {1, 2, 3, 4});
@@ -1023,6 +1133,162 @@ TEST(Conv, Im2colMatchesDirectOddShapes)
                              conv2dReference(x, w, Tensor(), s.s, s.p)),
                   1e-4f);
     }
+}
+
+// ------------------------------------------------------------------
+// conv2d's implicit lowering against the explicit one it replaced: an
+// im2col column matrix fed to the same blocked GEMM. Kept here as the
+// reference algorithm; every output must match it bit for bit.
+
+/** Explicit im2col of one CHW image (0 outside the input). */
+template <typename T>
+void
+explicitIm2col(const T *xb, T *col, int64_t c, int64_t h, int64_t w, int k,
+               int64_t oh, int64_t ow, int stride, int pad)
+{
+    for (int64_t r = 0; r < c * k * k; ++r) {
+        const int64_t ci = r / (k * k);
+        const int64_t ky = (r / k) % k, kx = r % k;
+        for (int64_t y = 0; y < oh; ++y) {
+            for (int64_t xo = 0; xo < ow; ++xo) {
+                const int64_t iy = y * stride - pad + ky;
+                const int64_t ix = xo * stride - pad + kx;
+                col[r * oh * ow + y * ow + xo] =
+                    (iy < 0 || iy >= h || ix < 0 || ix >= w)
+                        ? T(0)
+                        : xb[(ci * h + iy) * w + ix];
+            }
+        }
+    }
+}
+
+/**
+ * The explicit lowering: per image, bias-filled output plus one
+ * blocked GEMM over the column matrix (activation in the epilogue).
+ * `xdt` is the stored dtype of x's elements (f32, or the bf16/f16
+ * payload of a lowered input); w may be f32 or reduced.
+ */
+Tensor
+explicitConv(const Tensor &x, const Tensor &w, const Tensor &b, int stride,
+             int pad, ActKind act)
+{
+    const int64_t n = x.size(0), c = x.size(1), h = x.size(2),
+                  wd = x.size(3);
+    const int64_t oc = w.size(0);
+    const int k = static_cast<int>(w.size(2));
+    const int64_t oh = (h + 2 * pad - k) / stride + 1;
+    const int64_t ow = (wd + 2 * pad - k) / stride + 1;
+    const int64_t kdim = c * k * k, ohw = oh * ow;
+    Tensor out(Shape{n, oc, oh, ow});
+    const DType xdt = x.dtype();
+    std::vector<float> colf(xdt == DType::F32 ? kdim * ohw : 0);
+    std::vector<uint16_t> col16(xdt == DType::F32 ? 0 : kdim * ohw);
+    for (int64_t ni = 0; ni < n; ++ni) {
+        detail::DtOperand cols{nullptr, ohw, 1, xdt, 1.0f};
+        if (xdt == DType::F32) {
+            explicitIm2col(x.data() + ni * c * h * wd, colf.data(), c, h, wd,
+                           k, oh, ow, stride, pad);
+            cols.p = colf.data();
+        } else {
+            explicitIm2col(x.u16Data() + ni * c * h * wd, col16.data(), c, h,
+                           wd, k, oh, ow, stride, pad);
+            cols.p = col16.data();
+        }
+        float *ob = out.data() + ni * oc * ohw;
+        for (int64_t o = 0; o < oc; ++o)
+            std::fill(ob + o * ohw, ob + (o + 1) * ohw,
+                      b.defined() ? b.data()[o] : 0.0f);
+        const detail::DtOperand wop{w.rawData(), kdim, 1, w.dtype(), 1.0f};
+        const detail::Epilogue epi{nullptr, act};
+        detail::gemmBlockedDt(wop, cols, ob, oc, kdim, ohw,
+                              act == ActKind::None ? nullptr : &epi);
+    }
+    return out;
+}
+
+TEST(Conv, ImplicitLoweringBitwiseEqualsExplicitIm2col)
+{
+    struct Geometry
+    {
+        int64_t n, c, h, w, oc;
+        int k, s, p;
+    };
+    // Pinned corners first: a KC split (K = 576 > 256), ow < 16 with
+    // oh*ow not a multiple of 16, 1x1 stride 2, a 1-pixel input, the
+    // medical-seg / transfuser shapes, and batches of 4+ images, which
+    // at 4 threads run one image per pool worker.
+    std::vector<Geometry> geoms = {
+        {1, 64, 10, 10, 8, 3, 1, 1},  {2, 30, 7, 9, 5, 3, 1, 1},
+        {2, 16, 13, 11, 12, 1, 2, 0}, {1, 3, 1, 1, 4, 1, 1, 0},
+        {3, 24, 32, 32, 8, 3, 1, 1},  {2, 8, 32, 32, 16, 3, 2, 1},
+        {1, 9, 6, 40, 40, 7, 3, 3},   {2, 5, 40, 3, 7, 3, 3, 1},
+        {5, 12, 17, 19, 10, 3, 1, 1}, {4, 8, 16, 16, 16, 5, 2, 2},
+    };
+    Rng rng(2024);
+    while (geoms.size() < 160) {
+        Geometry g;
+        g.n = rng.randint(1, 3);
+        g.c = rng.randint(1, 64);
+        g.oc = rng.randint(1, 40);
+        g.k = 2 * static_cast<int>(rng.randint(0, 3)) + 1;
+        g.s = static_cast<int>(rng.randint(1, 3));
+        g.p = static_cast<int>(rng.randint(0, g.k / 2));
+        g.h = rng.randint(1, 40);
+        g.w = rng.randint(1, 40);
+        if (g.h + 2 * g.p < g.k || g.w + 2 * g.p < g.k)
+            continue; // the window does not fit
+        const int64_t oh = (g.h + 2 * g.p - g.k) / g.s + 1;
+        const int64_t ow = (g.w + 2 * g.p - g.k) / g.s + 1;
+        if (g.n * g.oc * oh * ow * g.c * g.k * g.k > (int64_t{1} << 24))
+            continue; // keep the sweep fast
+        geoms.push_back(g);
+    }
+
+    const ActKind acts[] = {ActKind::None, ActKind::Relu, ActKind::Gelu};
+    int kc_split = 0, narrow = 0, ragged = 0, one_by_one_s2 = 0;
+    for (size_t gi = 0; gi < geoms.size(); ++gi) {
+        const Geometry &g = geoms[gi];
+        const int64_t oh = (g.h + 2 * g.p - g.k) / g.s + 1;
+        const int64_t ow = (g.w + 2 * g.p - g.k) / g.s + 1;
+        kc_split += g.c * g.k * g.k > 256;
+        narrow += ow < 16;
+        ragged += (oh * ow) % 16 != 0;
+        one_by_one_s2 += g.k == 1 && g.s == 2;
+
+        const Tensor x = Tensor::randn(Shape{g.n, g.c, g.h, g.w}, rng);
+        const Tensor w = Tensor::randn(Shape{g.oc, g.c, g.k, g.k}, rng);
+        const Tensor b = gi % 2 ? Tensor::randn(Shape{g.oc}, rng) : Tensor();
+        const ActKind act = acts[gi % 3];
+        const Tensor ref = explicitConv(x, w, b, g.s, g.p, act);
+        for (const int threads : {1, 4}) {
+            core::ScopedNumThreads scope(threads);
+            EXPECT_TRUE(sameBits(conv2dAct(x, w, b, g.s, g.p, act,
+                                           ConvAlgo::Im2col),
+                                 ref))
+                << "geometry " << gi << ": n=" << g.n << " c=" << g.c
+                << " h=" << g.h << " w=" << g.w << " oc=" << g.oc
+                << " k=" << g.k << " s=" << g.s << " p=" << g.p
+                << " threads=" << threads;
+        }
+        // The reduced-precision conv reads the same implicit view: a
+        // bf16 or f16 weight against a lowered or an f32 input.
+        if (gi % 4 == 0) {
+            const DType dt = gi % 8 ? DType::F16 : DType::BF16;
+            const Tensor wq = castTo(w, dt);
+            EXPECT_TRUE(sameBits(
+                conv2dActDt(x, wq, b, g.s, g.p, act, /*cast_input=*/true),
+                explicitConv(castTo(x, dt), wq, b, g.s, g.p, act)))
+                << "reduced geometry " << gi;
+            EXPECT_TRUE(sameBits(
+                conv2dActDt(x, wq, b, g.s, g.p, act, /*cast_input=*/false),
+                explicitConv(x, wq, b, g.s, g.p, act)))
+                << "weights-only geometry " << gi;
+        }
+    }
+    EXPECT_GT(kc_split, 0);
+    EXPECT_GT(narrow, 0);
+    EXPECT_GT(ragged, 0);
+    EXPECT_GT(one_by_one_s2, 0);
 }
 
 // ------------------------------------------------------------------
