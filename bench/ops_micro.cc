@@ -404,6 +404,21 @@ opsMicroMain(int argc, char **argv)
             core::parallelFor(0, 64, 1, [](int64_t, int64_t) {});
         });
     }
+    {
+        // cmu-mosei's smallest pool jobs at batch 8, 4 threads: a
+        // sequence linear whose per-sample GEMMs the batch spread
+        // hands to the pool, and layernorm over its 8 x 24 steps.
+        core::ScopedNumThreads four(4);
+        Tensor x = Tensor::randn(Shape{8, 24, 32}, rng);
+        Tensor w = Tensor::randn(Shape{32, 64}, rng);
+        h.compute("gemm_seq_linear_mosei", "8x(24x32)(32x64) t4",
+                  2.0 * 8 * 24 * 32 * 64, [&] { tensor::matmul(x, w); });
+        Tensor r = Tensor::randn(Shape{192, 32}, rng);
+        Tensor g = Tensor::ones(Shape{32});
+        Tensor b = Tensor::zeros(Shape{32});
+        h.compute("layernorm_192x32", "192x32 t4", 4.0 * 192 * 32,
+                  [&] { tensor::layernorm(r, g, b, 1e-5f); });
+    }
 
     // --- Fused epilogue kernels (solver-registry candidates) --------
     // Each fused kernel is measured against its unfused multi-pass

@@ -47,6 +47,16 @@ if [[ "$SANITIZE" == "thread" ]]; then
     cmake --build "$BUILD_DIR" -j "$JOBS"
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j 1 \
         -R '^(test_core|test_pipeline|test_serve|test_runner)$'
+    # Races show only in some interleavings, so repeat the tests that
+    # choreograph them: the pool's back-to-back, two-submitter and
+    # capped-concurrency tests, and the gate-choreographed StagePipe
+    # tests (a StagePipe race once showed in 11 of 30 runs, and only
+    # with a 5 ms delay injected). On a 4-vCPU host the repeats take
+    # about 6 s (pool) and 15 s (StagePipe).
+    "$BUILD_DIR/test_core" --gtest_filter='Parallel.*' --gtest_repeat=50 \
+        --gtest_brief=1
+    "$BUILD_DIR/test_pipeline" --gtest_filter='StagePipe.*' \
+        --gtest_repeat=10 --gtest_brief=1
     echo "tsan leg OK"
     exit 0
 fi
@@ -245,47 +255,86 @@ print(f"fault-injection smoke OK: {clean} clean + {faulted} faulted runs, "
       f"goodput shed=on {top[True]:.1f} >= shed=off {top[False]:.1f} req/s")
 EOF
 
-# Kernel-fusion leg: the same workload three times. Cold with the
-# solver registry on: the autotuner must search and persist the
-# perf-db. Warm with the populated perf-db: every solver choice must
-# come from the cache (zero searches, zero search time). Then fusion
-# off: the reference timing the fused path is compared against.
-MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload av-mnist \
-    --batch 4 --scale 0.5 --warmup 2 --repeat 20 --quiet \
-    --fusion on --autotune on --perfdb "$BUILD_DIR/perfdb_fusion.json" \
-    --json "$BUILD_DIR/BENCH_fusion.jsonl"
-MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload av-mnist \
-    --batch 4 --scale 0.5 --warmup 2 --repeat 20 --quiet \
-    --fusion on --autotune on --perfdb "$BUILD_DIR/perfdb_fusion.json" \
-    --json "$BUILD_DIR/BENCH_fusion.jsonl"
-MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run --workload av-mnist \
-    --batch 4 --scale 0.5 --warmup 2 --repeat 20 --quiet \
-    --json "$BUILD_DIR/BENCH_fusion.jsonl"
+# Kernel-fusion leg, run as 20 pairs. Each pair starts from an empty
+# perf-db: a cold run with the solver registry on must autotune and
+# persist it, and a warm run with it must take every solver choice
+# from the cache (zero searches, zero search time). The warm run is
+# paired with a fusion-off run, the reference timing the fused path is
+# compared against; pair i runs fused first when i is even and unfused
+# first when i is odd.
+#
+# Gate rule (a sign test on the paired p50s): fused p50 must be within
+# 1.10x of unfused in at least half of the pairs. The epilogue saving
+# is a modest fraction of av-mnist's time at this scale, so the gate
+# guards against regression rather than demanding a win. A fresh
+# perf-db per pair matters: the autotuner's pick varies between cold
+# runs (the 1-channel 5x5 conv took conv_direct in 2 of 12), and a bad
+# pick makes every warm run of that process slow.
+# Measured false-fail rate, on a 4-vCPU host at commit 78a4ec7: 0 of
+# 50 gates failed (at least 16 of 20 pairs within the bound; 63 of
+# 1000 pairs over it, a rate at which chance alone fails the gate with
+# probability about 1e-8). With one cold run shared by all 20 pairs
+# the gate failed 4 of 40 times, each time with all 20 pairs over.
+fusion_pairs=20
+fusion_args=(--workload av-mnist --batch 4 --scale 0.5 --warmup 2
+    --repeat 20 --quiet)
+fused_args=("${fusion_args[@]}" --fusion on --autotune on
+    --perfdb "$BUILD_DIR/perfdb_fusion.json")
+fusion_run() {
+    MMBENCH_NUM_THREADS=4 "$BUILD_DIR/mmbench" run "$@" \
+        --json "$BUILD_DIR/BENCH_fusion.jsonl"
+}
+for ((pair = 0; pair < fusion_pairs; pair++)); do
+    rm -f "$BUILD_DIR/perfdb_fusion.json"
+    fusion_run "${fused_args[@]}"
+    if ((pair % 2)); then
+        fusion_run "${fusion_args[@]}"
+        fusion_run "${fused_args[@]}"
+    else
+        fusion_run "${fused_args[@]}"
+        fusion_run "${fusion_args[@]}"
+    fi
+done
 
 python3 - "$BUILD_DIR/BENCH_fusion.jsonl" \
-    "$BUILD_DIR/BENCH_ops_micro.jsonl" <<'EOF'
-import json, sys
+    "$BUILD_DIR/BENCH_ops_micro.jsonl" "$fusion_pairs" <<'EOF'
+import json, statistics, sys
 records = [json.loads(line) for line in open(sys.argv[1])]
-assert len(records) == 3, f"expected cold/warm/unfused runs, got {len(records)}"
-cold, warm, unfused = records
-for record in (cold, warm):
-    assert record["spec"]["fusion_kernels"] is True
-    assert record["spec"]["autotune"] == "on"
-    assert record["solver"]["fused_ops"] > 0
-    assert record["solver"]["fused_groups"] > 0
-assert "solver" not in unfused and "fusion_kernels" not in unfused["spec"]
-assert cold["solver"]["searches"] > 0, "cold run must autotune"
-assert warm["solver"]["searches"] == 0, (
-    f"warm run searched {warm['solver']['searches']} times despite the "
-    f"populated perf-db")
-assert warm["solver"]["search_ms"] == 0, warm["solver"]["search_ms"]
-assert warm["solver"]["perfdb_hits"] > 0, "warm run must hit the perf-db"
-# The fused path exists to be faster; at this kernel scale the epilogue
-# saving is a modest fraction of total time, so guard against
-# regression with a small noise allowance rather than demanding a win.
-fused_p50, base_p50 = warm["latency_us"]["p50"], unfused["latency_us"]["p50"]
-assert fused_p50 <= base_p50 * 1.10, (
-    f"fused p50 {fused_p50:.0f} us regressed past unfused {base_p50:.0f} us")
+pairs = int(sys.argv[3])
+assert len(records) == 3 * pairs, (
+    f"expected {pairs} cold/warm/unfused triples, got {len(records)} runs")
+within = 0
+searches = 0
+fused_p50, base_p50 = [], []
+for i in range(pairs):
+    cold, *pair = records[3 * i:3 * i + 3]
+    warm = [r for r in pair if r["spec"].get("fusion_kernels")]
+    unfused = [r for r in pair if not r["spec"].get("fusion_kernels")]
+    assert len(warm) == 1 and len(unfused) == 1, (
+        f"pair {i} is not one fused and one unfused run")
+    warm, unfused = warm[0], unfused[0]
+    for record in (cold, warm):
+        assert record["spec"]["fusion_kernels"] is True
+        assert record["spec"]["autotune"] == "on"
+        assert record["solver"]["fused_ops"] > 0
+        assert record["solver"]["fused_groups"] > 0
+    assert cold["solver"]["searches"] > 0, "cold run must autotune"
+    searches += cold["solver"]["searches"]
+    assert warm["solver"]["searches"] == 0, (
+        f"warm run searched {warm['solver']['searches']} times despite "
+        f"the populated perf-db")
+    assert warm["solver"]["search_ms"] == 0, warm["solver"]["search_ms"]
+    assert warm["solver"]["perfdb_hits"] > 0, "warm run must hit the perf-db"
+    assert "solver" not in unfused and "fusion_kernels" not in unfused["spec"]
+    fused_p50.append(warm["latency_us"]["p50"])
+    base_p50.append(unfused["latency_us"]["p50"])
+    within += fused_p50[-1] <= base_p50[-1] * 1.10
+need = (pairs + 1) // 2
+summary = (f"fused p50 within 1.10x of unfused in {within} of {pairs} "
+           f"pairs (need {need}); median p50 unfused "
+           f"{statistics.median(base_p50):.0f} us -> fused "
+           f"{statistics.median(fused_p50):.0f} us")
+assert within >= need, "kernel-fusion gate failed: " + summary
 ops = {}
 for line in open(sys.argv[2]):
     record = json.loads(line)
@@ -308,9 +357,8 @@ for fused_name, base_name in (
     assert min(ratios) <= 1.15, (
         f"{fused_name} slower than {base_name} in every pass: "
         f"ratios {[round(r, 2) for r in ratios]}")
-print(f"kernel-fusion smoke OK: cold searches={cold['solver']['searches']}, "
-      f"warm perfdb_hits={warm['solver']['perfdb_hits']}, "
-      f"fused p50 {fused_p50:.0f} us vs unfused {base_p50:.0f} us")
+print(f"kernel-fusion gate OK: cold searches={searches // pairs} per pair, "
+      f"{summary}")
 EOF
 
 # Reduced-precision leg: every workload under f32/bf16/f16/i8 via the

@@ -14,9 +14,21 @@
  *     thread: worker threads never emit trace events (the per-thread
  *     sink is simply absent there), so the event stream the simulator
  *     consumes is unchanged by parallel execution.
- *  3. Zero cost when idle / small. Ranges at or below one grain run
+ *  3. A job costs only what it uses. Ranges at or below one grain run
  *     inline on the caller with no synchronization, and nested
- *     parallelFor calls from inside a worker degrade to serial.
+ *     parallelFor calls (from a worker or from the caller's own chunk)
+ *     degrade to serial. Otherwise the caller wakes only as many
+ *     sleeping workers as the job has chunks to spare, up to the
+ *     thread count; a worker counts itself in when it joins and out
+ *     when the range is spent, and the caller returns as soon as its
+ *     own pulls find the range spent and no joined worker is left.
+ *     Workers stay awake polling for a short fixed window after a
+ *     job, so the next kernel of the same pass finds them running;
+ *     after that they sleep, so an idle process uses no CPU.
+ *
+ * Bodies must not throw. In a job run on the pool an exception leaving
+ * a body ends the program (std::terminate), on a worker and on the
+ * calling thread alike.
  *
  * Thread count: MMBENCH_NUM_THREADS environment variable, read once at
  * pool creation; defaults to std::thread::hardware_concurrency().

@@ -1,15 +1,19 @@
 /**
  * @file
- * Unit tests for the core utilities: formatting, RNG, tables, CSV.
+ * Unit tests for the core utilities: formatting, RNG, tables, CSV,
+ * and the parallel runtime.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "core/csv.hh"
@@ -282,19 +286,102 @@ TEST(Parallel, ScopedOverrideForcesSerial)
 
 TEST(Parallel, NestedCallsDegradeToSerial)
 {
-    std::atomic<int> inner_chunks{0};
-    core::parallelFor(0, 4, 1, [&](int64_t b, int64_t e) {
+    // A nested call runs as one inline chunk covering its whole range,
+    // whether it comes from a worker or from the caller's own chunk.
+    constexpr int64_t kOuter = 64;
+    std::vector<std::atomic<int>> outer_hits(kOuter);
+    std::vector<std::atomic<int>> inner_chunks(kOuter);
+    std::vector<std::atomic<int>> inner_covered(kOuter);
+    core::parallelFor(0, kOuter, 1, [&](int64_t b, int64_t e) {
         for (int64_t i = b; i < e; ++i) {
-            if (core::inParallelRegion()) {
-                // From a worker, a nested parallelFor must run inline.
-                core::parallelFor(0, 1000, 1,
-                                  [&](int64_t, int64_t) { ++inner_chunks; });
-            }
+            const size_t k = static_cast<size_t>(i);
+            ++outer_hits[k];
+            core::parallelFor(0, 1000, 1, [&](int64_t ib, int64_t ie) {
+                ++inner_chunks[k];
+                inner_covered[k] += static_cast<int>(ie - ib);
+            });
         }
     });
-    // Either no workers exist (serial host) or every nested call was
-    // exactly one inline chunk per outer index handled by a worker.
-    EXPECT_LE(inner_chunks.load(), 4);
+    for (size_t k = 0; k < static_cast<size_t>(kOuter); ++k) {
+        EXPECT_EQ(outer_hits[k].load(), 1) << "outer index " << k;
+        EXPECT_EQ(inner_chunks[k].load(), 1) << "outer index " << k;
+        EXPECT_EQ(inner_covered[k].load(), 1000) << "outer index " << k;
+    }
+}
+
+TEST(Parallel, BackToBackJobsFromTwoSubmitters)
+{
+    // Two threads submit seeded small jobs back to back, so one job's
+    // workers are still leaving while the next is published, and the
+    // second submitter queues behind the first. Every index of every
+    // job must run exactly once.
+    constexpr int kJobs = 3000;
+    const auto submit = [](uint64_t seed, int *bad_jobs) {
+        Rng rng(seed);
+        std::vector<int> hits;
+        for (int job = 0; job < kJobs; ++job) {
+            const int64_t range = rng.randint(1, 300);
+            const int64_t grain = rng.randint(1, 7);
+            hits.assign(static_cast<size_t>(range), 0);
+            core::parallelFor(0, range, grain, [&](int64_t b, int64_t e) {
+                for (int64_t i = b; i < e; ++i)
+                    ++hits[static_cast<size_t>(i)];
+            });
+            for (int h : hits) {
+                if (h != 1) {
+                    ++*bad_jobs;
+                    break;
+                }
+            }
+        }
+    };
+    int bad_main = 0, bad_other = 0;
+    std::thread other(submit, 2, &bad_other);
+    submit(1, &bad_main);
+    other.join();
+    EXPECT_EQ(bad_main, 0);
+    EXPECT_EQ(bad_other, 0);
+}
+
+TEST(Parallel, ScopedCapBoundsConcurrency)
+{
+    for (int n = 1; n <= core::maxThreads(); ++n) {
+        core::ScopedNumThreads cap(n);
+        std::atomic<int> running{0};
+        std::atomic<int> peak{0};
+        for (int job = 0; job < 20; ++job) {
+            core::parallelFor(0, 64, 1, [&](int64_t, int64_t) {
+                const int now = ++running;
+                int seen = peak.load();
+                while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+                }
+                // Hold the body long enough for the others to overlap.
+                const auto until = std::chrono::steady_clock::now() +
+                                   std::chrono::microseconds(20);
+                while (std::chrono::steady_clock::now() < until) {
+                }
+                --running;
+            });
+        }
+        EXPECT_GE(peak.load(), 1) << "n=" << n;
+        EXPECT_LE(peak.load(), n) << "n=" << n;
+    }
+}
+
+TEST(ParallelDeathTest, ForkedChildExitsWhateverStateWorkersWereIn)
+{
+    // A death test forks, and the child has none of the pool's
+    // workers. Forking 0-108 us after a job, across the workers'
+    // stay-awake window, catches them spinning, falling asleep and
+    // asleep; the child's exit must not wait on any of them.
+    for (int i = 0; i < 10; ++i) {
+        core::parallelFor(0, 64, 1, [](int64_t, int64_t) {});
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::microseconds(12 * i);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        EXPECT_EXIT(std::exit(0), ::testing::ExitedWithCode(0), "");
+    }
 }
 
 TEST(Parallel, ThreadCountBounds)

@@ -10,6 +10,7 @@
  * pool has real workers even on single-core CI hosts.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -353,35 +354,52 @@ TEST(NodeTimeline, ProfilerAttributesStagesPerNode)
 
 TEST(ServeMode, StatsAndThroughputMonotonicity)
 {
+    // Enough requests that the faster, 4-slot side runs for about
+    // 50 ms (a few ms would let one preemption flip the ratio), and
+    // the claim is judged on medians of 3 alternating runs per side.
+    constexpr int kRequests = 1600;
     runner::RunSpec spec;
     spec.workload = "av-mnist";
     spec.mode = runner::RunMode::Serve;
     spec.batch = 2;
     spec.sizeScale = 0.35f;
-    spec.requests = 16;
+    spec.requests = kRequests;
 
-    spec.inflight = 1;
-    const runner::RunResult serial = runner::runOne(spec);
-    spec.inflight = 4;
-    const runner::RunResult concurrent = runner::runOne(spec);
-
-    for (const runner::RunResult *r : {&serial, &concurrent}) {
-        EXPECT_EQ(r->hostLatencyUs.count, 16);
-        EXPECT_GT(r->hostLatencyUs.p50, 0.0);
-        EXPECT_GT(r->throughputSps, 0.0);
-        EXPECT_EQ(r->serve.requests, 16);
-        EXPECT_GT(r->serve.wallUs, 0.0);
-        EXPECT_TRUE(r->hasMetric);
+    std::vector<double> serial_sps, concurrent_sps;
+    int concurrent_slots = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (int side = 0; side < 2; ++side) {
+            // Even rounds run serial first, odd rounds concurrent
+            // first, so neither side always meets the warmer host.
+            const bool serial = (side == 0) == (round % 2 == 0);
+            spec.inflight = serial ? 1 : 4;
+            const runner::RunResult r = runner::runOne(spec);
+            EXPECT_EQ(r.hostLatencyUs.count, kRequests);
+            EXPECT_GT(r.hostLatencyUs.p50, 0.0);
+            EXPECT_GT(r.throughputSps, 0.0);
+            EXPECT_EQ(r.serve.requests, kRequests);
+            EXPECT_GT(r.serve.wallUs, 0.0);
+            EXPECT_TRUE(r.hasMetric);
+            if (serial) {
+                EXPECT_EQ(r.serve.inflight, 1);
+                serial_sps.push_back(r.throughputSps);
+            } else {
+                EXPECT_GE(r.serve.inflight, 1);
+                concurrent_slots = r.serve.inflight;
+                concurrent_sps.push_back(r.throughputSps);
+            }
+        }
     }
-    EXPECT_EQ(serial.serve.inflight, 1);
-    EXPECT_GE(concurrent.serve.inflight, 1);
 
     // Monotonicity: more in-flight slots must not lose throughput.
     // The 0.85 slack absorbs scheduler noise on loaded CI hosts; with
     // 4 pool threads the observed ratio is typically 2-3x.
-    if (concurrent.serve.inflight > 1) {
-        EXPECT_GE(concurrent.throughputSps,
-                  0.85 * serial.throughputSps);
+    const auto median3 = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[1];
+    };
+    if (concurrent_slots > 1) {
+        EXPECT_GE(median3(concurrent_sps), 0.85 * median3(serial_sps));
     }
 }
 
