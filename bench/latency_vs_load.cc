@@ -150,64 +150,6 @@ run()
                     numfmt::f1(r.throughputSps)});
     }
 
-    // Serving-engine ladder on the multi-encoder workloads: the
-    // static batch-and-hold engine vs continuous batching with
-    // stage-level pipelining, swept over the same offered-load
-    // ladder. The continuous engine re-forms batches from whatever is
-    // queued (amortising per-request graph overhead under load) and
-    // overlaps one request's encoder wave with another's fusion/head
-    // stages. Past the knee it should hold a lower p99 at the same
-    // rate — and therefore a higher max rate under a fixed p99 SLO.
-    // Runs here, before the JSONL sink closes, so the raw records land
-    // in the shared file.
-    static const char *const kEngines[] = {"static", "continuous+pipe"};
-    TextTable pipe_table({"Workload", "Engine", "Offered rps",
-                          "Achieved rps", "p99", "Goodput rps",
-                          "Batches"});
-    struct EnginePoint
-    {
-        std::string workload;
-        std::string engine;
-        runner::RunResult result;
-    };
-    std::vector<EnginePoint> engine_points;
-    const std::vector<double> pipe_fractions =
-        smoke ? std::vector<double>{0.8, 2.5}
-              : std::vector<double>{0.5, 1.0, 1.5, 2.5};
-    bool first_workload = true;
-    for (const char *name : {"transfuser", "medical-seg"}) {
-        if (!first_workload)
-            pipe_table.addSeparator();
-        first_workload = false;
-        runner::RunSpec anchor = base;
-        anchor.workload = name;
-        anchor.requests = smoke ? 24 : 96;
-        const double wl_capacity =
-            runner::runOne(anchor, sinks).serve.achievedRps;
-        for (const char *const engine_name : kEngines) {
-            runner::RunSpec engine = anchor;
-            engine.arrival = pipeline::ArrivalKind::Poisson;
-            if (engine_name != kEngines[0]) {
-                engine.batcher = pipeline::BatcherKind::Continuous;
-                engine.maxBatch = 8;
-                engine.pipelineServe = true;
-            }
-            for (double f : pipe_fractions) {
-                engine.rateRps = f * wl_capacity;
-                runner::RunResult r = runner::runOne(engine, sinks);
-                pipe_table.addRow(
-                    {name, engine_name,
-                     numfmt::f1(r.serve.offeredRps),
-                     numfmt::f1(r.serve.achievedRps),
-                     numfmt::f1(r.hostLatencyUs.p99),
-                     numfmt::f1(r.serve.goodputRps),
-                     strfmt("%d", r.serve.batches)});
-                engine_points.push_back({name, engine_name,
-                                         std::move(r)});
-            }
-        }
-    }
-
     if (jsonl) {
         jsonl->flush();
         jsonl.reset();
@@ -225,48 +167,6 @@ run()
         "per-workload closed-loop capacity at the sweep geometry: the "
         "measured anchor an open-loop sweep of that workload is "
         "expressed against.");
-
-    benchutil::emitTable(pipe_table, "load_pipeline");
-    benchutil::note(
-        "serving-engine ladder on the multi-encoder workloads: "
-        "continuous batching + stage-level pipelining (--batcher "
-        "continuous --max-batch 8 --pipeline on) vs the static engine "
-        "at the same offered rates; per-request outputs are bitwise "
-        "identical across both engines.");
-
-    // Per-engine SLO metric: the max swept rate whose p99 held the
-    // target, side by side — the serving-scheduler win condition.
-    if (benchutil::sloMs() > 0.0) {
-        const double slo_us = benchutil::sloMs() * 1000.0;
-        TextTable pipe_slo({"Workload", "Engine", "Max offered rps",
-                            "p99 at max (us)"});
-        for (const char *name : {"transfuser", "medical-seg"}) {
-            for (const char *const engine_name : kEngines) {
-                const runner::RunResult *best_pt = nullptr;
-                for (const EnginePoint &pt : engine_points) {
-                    if (pt.workload != name ||
-                        pt.engine != engine_name)
-                        continue;
-                    if (pt.result.hostLatencyUs.p99 <= slo_us &&
-                        (!best_pt || pt.result.serve.offeredRps >
-                                         best_pt->serve.offeredRps))
-                        best_pt = &pt.result;
-                }
-                pipe_slo.addRow(
-                    {name, engine_name,
-                     best_pt ? numfmt::f1(best_pt->serve.offeredRps)
-                             : "none",
-                     best_pt ? numfmt::f1(best_pt->hostLatencyUs.p99)
-                             : "-"});
-            }
-        }
-        benchutil::emitTable(pipe_slo, "load_pipeline_slo");
-        benchutil::note(strfmt(
-            "max sustainable rate with p99 <= %.1f ms per serving "
-            "engine: the pipelined continuous batcher should sustain "
-            "a higher rate than the static engine on these "
-            "multi-encoder workloads.", benchutil::sloMs()));
-    }
 
     // MLPerf-server SLO metric: the highest swept offered rate whose
     // measured end-to-end p99 stayed under the target. Reported from

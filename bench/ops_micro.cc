@@ -548,7 +548,7 @@ opsMicroMain(int argc, char **argv)
     // Serve-mode batching concatenates the queued requests' inputs
     // along dim 0 before a batched dispatch (runner coalesceBatches):
     // a pure row copy (read + write every float), measured here at
-    // the batch geometries the continuous batcher produces: raw
+    // the batch geometries the serve batcher produces: raw
     // modality inputs ([B, 512]-ish) and encoder feature maps.
     {
         Tensor a = Tensor::randn(Shape{4, 4096}, rng);

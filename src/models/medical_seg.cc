@@ -101,8 +101,8 @@ MedicalSeg::encodeModalityCtx(pipeline::ExecContext &ctx, size_t m,
 {
     UNetEncoder::Output enc = encoders_[m]->forward(input);
     // The decoder's skip connections bypass the fusion join; stash
-    // them in the execution context so concurrent requests (and
-    // pipelined stages) never share model state.
+    // them in the execution context so concurrent requests never
+    // share model state.
     ctx.stash[2 * m] = enc.skip1;
     ctx.stash[2 * m + 1] = enc.skip2;
     return bottleneckTokens(enc.bottleneck);

@@ -35,6 +35,14 @@
  *    server prunes the modality's preprocess/encoder subtree and the
  *    fusion zero-imputes its feature (MultiBench-style missing-
  *    modality degradation as a serving event).
+ *
+ * Keying under batched dispatch (`--max-batch N`): a batch of several
+ * requests executes once, so its fail and slow faults are rolled once,
+ * on the head request's id (ServiceCall::first), and apply to every
+ * member — one failure fails (or retries) the whole batch, one
+ * straggler delays all of it. Drop faults belong to each request: they
+ * are rolled per member id, and the batch runs the union of its
+ * members' drop masks.
  */
 
 #ifndef MMBENCH_PIPELINE_FAULTS_HH

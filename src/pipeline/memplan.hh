@@ -19,9 +19,9 @@
  * every other consumer finished in a strictly earlier dependency
  * level. Consumers sharing the releasing node's level run concurrently
  * with it, so such slots (and graph sinks, which nothing consumes)
- * are released only when the run's ExecContext dies. The stage
- * pipeline (stagepipe.hh) runs the parallel-policy plan per job: its
- * per-job wave barrier is exactly the level ordering the rule assumes.
+ * are released only when the run's ExecContext dies. A plan is valid
+ * under any policy at least as conservative as the one it was built
+ * for, so a parallel-policy plan may run sequentially.
  */
 
 #ifndef MMBENCH_PIPELINE_MEMPLAN_HH

@@ -26,8 +26,8 @@ runNode(size_t id, const StageNode &node, ExecContext &ctx,
                          options.faultAttempt);
 
     // Grad mode is re-asserted here because the node may execute on a
-    // pool worker or another serve slot, whose thread-local grad flag
-    // the submitting thread's NoGradGuard never touched.
+    // pool worker, whose thread-local grad flag the submitting
+    // thread's NoGradGuard never touched.
     std::optional<autograd::NoGradGuard> no_grad;
     if (!grad_enabled)
         no_grad.emplace();

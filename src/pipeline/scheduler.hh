@@ -125,7 +125,7 @@ bool prunedByDropMask(const StageNode &node, uint32_t drop_mask);
 
 /**
  * Execute node `id` on the calling thread: the one routine runGraph
- * and StagePipe run every node through. In order, it throws
+ * runs every node through, under either policy. In order, it throws
  * FaultError when options.faults fails the node (before any work);
  * installs the ambient context the monolithic forward used to set up
  * (grad off unless `grad_enabled`, options.tag, the node's stage and

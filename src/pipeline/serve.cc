@@ -51,27 +51,6 @@ isOpenLoop(ArrivalKind kind)
 }
 
 const char *
-batcherKindName(BatcherKind kind)
-{
-    return kind == BatcherKind::Static ? "static" : "continuous";
-}
-
-bool
-tryParseBatcherKind(const std::string &name, BatcherKind *kind)
-{
-    const std::string n = toLower(name);
-    if (n == "static") {
-        *kind = BatcherKind::Static;
-        return true;
-    }
-    if (n == "continuous") {
-        *kind = BatcherKind::Continuous;
-        return true;
-    }
-    return false;
-}
-
-const char *
 requestOutcomeName(RequestOutcome outcome)
 {
     switch (outcome) {
@@ -95,9 +74,6 @@ validateServeOptions(int total, const ServeLoopOptions &options)
         return "max-batch must be >= 1";
     if (options.batchWaitUs < 0.0)
         return "batch-wait-us must be >= 0";
-    if (options.batchWaitUs > 0.0 &&
-        options.batcher != BatcherKind::Continuous)
-        return "batch-wait-us applies to the continuous batcher only";
     if (options.queueCap < 0)
         return "queue-cap must be >= 0";
     if (options.deadlineUs < 0.0)
@@ -109,9 +85,9 @@ validateServeOptions(int total, const ServeLoopOptions &options)
         if (options.maxBatch != 1)
             return "closed-loop serving cannot coalesce (no queue to "
                    "batch from)";
-        if (options.batcher == BatcherKind::Continuous)
-            return "continuous batching requires open-loop arrivals "
-                   "(closed loop has no queue to re-form batches from)";
+        if (options.batchWaitUs > 0.0)
+            return "batch-wait-us holds an open-loop batch (closed loop "
+                   "has no queue to wait on)";
         if (options.classes != nullptr && !options.classes->empty())
             return "request classes require open-loop arrivals "
                    "(priority dequeue needs a queue)";
@@ -240,10 +216,9 @@ runClosedLoop(int total, const ServeLoopOptions &options,
  * Open loop: requests become available at their scheduled arrival
  * instants and are admitted into per-class FIFO queues; slots batch
  * up to `maxBatch` requests from the highest-priority non-empty queue
- * (holding an under-filled batch up to `batchWaitUs` under the
- * continuous batcher) or wait for the next arrival. Classless streams
- * run a single queue, so dequeues stay contiguous FIFO runs — the
- * historical dispatcher exactly.
+ * (holding an under-filled batch up to `batchWaitUs`) or wait for the
+ * next arrival. Classless streams run a single queue, so dequeues stay
+ * contiguous FIFO runs — the historical dispatcher exactly.
  *
  * Waiting is handed to a single designated slot: exactly one idle slot
  * owns the next-arrival timer (sleeping on the condition variable with
@@ -255,9 +230,9 @@ runClosedLoop(int total, const ServeLoopOptions &options,
  * at low load. Liveness: the timer owner wakes one parked slot after
  * dequeuing, every service completion wakes one more (arrived backlog
  * may now be visible), and stream end broadcasts. A slot holding an
- * under-filled continuous batch owns its own timed wait — the popped
- * members are private to it, so other slots keep dispatching the rest
- * of the queue meanwhile.
+ * under-filled batch owns its own timed wait — the popped members are
+ * private to it, so other slots keep dispatching the rest of the queue
+ * meanwhile.
  *
  * When shedding is on, dequeue is also where requests die: queue heads
  * past their (per-class) deadline and — when the total backlog exceeds
@@ -438,8 +413,7 @@ runOpenLoop(int total, const ServeLoopOptions &options,
             while (static_cast<int>(call.ids.size()) < options.maxBatch &&
                    queueSize(pick) > 0)
                 call.ids.push_back(popFront(pick));
-            if (options.batcher == BatcherKind::Continuous &&
-                static_cast<int>(call.ids.size()) < options.maxBatch &&
+            if (static_cast<int>(call.ids.size()) < options.maxBatch &&
                 options.batchWaitUs > 0.0) {
                 // Hold the under-filled batch (its members are private
                 // to this slot) up to batchWaitUs from formation start

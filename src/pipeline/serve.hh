@@ -21,16 +21,15 @@
  *    Inference's server scenario makes. Arrived-but-unserved requests
  *    wait in FIFO queues (one per request class); latency = queue wait
  *    + service time. The dispatcher batches up to `maxBatch` queued
- *    requests into one service call — immediately from the backlog
- *    (static batcher) or holding an under-filled batch up to
- *    `batchWaitUs` for further arrivals (continuous batcher).
+ *    requests into one service call from the backlog, and with
+ *    `batchWaitUs` > 0 holds an under-filled batch up to that long
+ *    for further arrivals.
  *
  * The schedule is generated from a seed before the clock starts, so a
  * fixed (kind, requests, rate, seed) tuple is bit-reproducible.
  *
- * Batch membership is final at dispatch: the downstream engine (the
- * stage graph, or the stage pipeline of stagepipe.hh) runs each
- * dispatched batch as one unit through every stage.
+ * Batch membership is final at dispatch: the slot that formed a batch
+ * runs it as one unit through every stage of the graph.
  *
  * Request lifecycle (fault-tolerant serving): every request ends in an
  * explicit outcome. The dispatcher owns the queue-side half — bounded
@@ -74,26 +73,6 @@ bool tryParseArrivalKind(const std::string &name, ArrivalKind *kind);
 bool isOpenLoop(ArrivalKind kind);
 
 /**
- * How service batches are formed from the queue (open loop only).
- *
- *  - Static: dequeue up to `maxBatch` *already-arrived* requests and
- *    dispatch immediately — batch size is whatever the backlog happens
- *    to hold (the historical `--coalesce` behaviour).
- *  - Continuous: after draining the backlog, an under-filled batch
- *    waits up to `batchWaitUs` for further compatible arrivals before
- *    dispatching, re-forming the batch at the stage boundary — batch
- *    size adapts to load instead of being fixed at parse time.
- */
-enum class BatcherKind : uint8_t
-{
-    Static,
-    Continuous,
-};
-
-const char *batcherKindName(BatcherKind kind);
-bool tryParseBatcherKind(const std::string &name, BatcherKind *kind);
-
-/**
  * Arrival instants in microseconds from stream start, one per request,
  * non-decreasing. Poisson draws exponential inter-arrival gaps with
  * mean 1/rate_rps from a generator seeded with `seed`; Fixed places
@@ -123,8 +102,6 @@ struct ServeLoopOptions
     double rateRps = 0.0; ///< open-loop offered rate, requests/second
     uint64_t seed = 42;   ///< arrival-schedule seed (open loop only)
     int inflight = 4;     ///< concurrent request slots
-    /** Open loop only: how service batches are formed. */
-    BatcherKind batcher = BatcherKind::Static;
     /**
      * Open loop only: dequeue up to this many queued requests into one
      * service call. 1 = no batching. Closed loop always serves one
@@ -132,9 +109,9 @@ struct ServeLoopOptions
      */
     int maxBatch = 1;
     /**
-     * Continuous batcher only: how long an under-filled batch may wait
-     * (from formation start) for further compatible arrivals before
-     * dispatching anyway. 0 = dispatch immediately (static behaviour).
+     * Open loop only: how long an under-filled batch may wait (from
+     * formation start) for further same-class arrivals before
+     * dispatching anyway. 0 = dispatch whatever the backlog holds.
      */
     double batchWaitUs = 0.0;
     /**

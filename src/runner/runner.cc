@@ -13,7 +13,6 @@
 #include "models/registry.hh"
 #include "pipeline/fuseplan.hh"
 #include "pipeline/serve.hh"
-#include "pipeline/stagepipe.hh"
 #include "profile/profiler.hh"
 #include "solver/config.hh"
 #include "tensor/ops.hh"
@@ -381,24 +380,10 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
     options.policy = pipeline::SchedPolicy::Sequential;
     options.captureTraces = false;
 
-    // Prime the lazy per-policy memory plan (the warmup above built
-    // the stage graph) before concurrent requests race forwardGraph:
-    // lazy plan construction is single-threaded by contract. The
-    // pipelined engine executes jobs wave-by-wave, so it runs the
-    // parallel-policy plan (its release rule matches wave barriers).
+    // Prime the lazy memory plan (the warmup above built the stage
+    // graph) before concurrent requests race forwardGraph: lazy plan
+    // construction is single-threaded by contract.
     workload.memoryPlan(options.policy);
-
-    // Stage-level pipelining: one shared engine; each slot submits its
-    // request and work-shares node tasks across every in-flight
-    // request, overlapping the encoder wave of one request with the
-    // fusion/head stages of another.
-    std::unique_ptr<pipeline::StagePipe> pipe;
-    if (spec.pipelineServe) {
-        pipe = std::make_unique<pipeline::StagePipe>(
-            workload.stageGraph(),
-            &workload.memoryPlan(pipeline::SchedPolicy::Parallel),
-            workload.stashSlots());
-    }
 
     // Clamp to the effective thread count so a --threads limit also
     // bounds serving concurrency (a --threads sweep in serve mode
@@ -411,7 +396,6 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
     loop.rateRps = spec.rateRps;
     loop.seed = spec.seed;
     loop.inflight = inflight;
-    loop.batcher = spec.batcher;
     loop.maxBatch = spec.maxBatch;
     loop.batchWaitUs = static_cast<double>(spec.batchWaitUs);
     if (!class_plan.empty())
@@ -423,7 +407,6 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
     // A request whose mask covers every modality has no live input:
     // it fails rather than answer from zero-imputed inputs alone.
     const uint32_t all_dropped = workload.dropAllExcept(0) | 1u;
-    const char *tag = fusion::fusionKindName(workload.config().fusionKind);
 
     // Arena window over the serving stream: the warmup request above
     // primed the free lists, so steady-state requests should be
@@ -463,19 +446,13 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
 
             pipeline::ScheduleOptions req = options;
             req.dropMask = mask;
-            pipeline::PipeRequest preq;
-            preq.dropMask = mask;
-            preq.tag = tag;
             if (!plan.empty()) {
-                // Batched groups key fault decisions on the head
-                // request id: one dispatch, one execution, one roll.
-                req.faults = preq.faults = &plan;
-                req.faultRequest = preq.faultRequest = call.first;
+                // A batch executes once, so its fail and slow faults
+                // are rolled once, on the head request id
+                // (faults.hh), and apply to every member.
+                req.faults = &plan;
+                req.faultRequest = call.first;
             }
-            if (!class_plan.empty())
-                preq.priority =
-                    class_plan.at(static_cast<size_t>(call.classId))
-                        .priority;
 
             // Assembly of the service batch counts toward service
             // time, as in a real batching server.
@@ -490,23 +467,17 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
                                               /*include_targets=*/false);
                 input = &fused_batch;
             }
-            preq.batch = input;
 
             // Bounded retry with exponential backoff: injected
             // failures are transient per attempt (the plan re-rolls
             // with attempt+1), so a retry can succeed. Exhausting the
             // budget reports the request failed.
             for (int attempt = 0;; ++attempt) {
-                req.faultAttempt = preq.faultAttempt = attempt;
+                req.faultAttempt = attempt;
                 try {
-                    if (pipe) {
-                        sr.faultsInjected +=
-                            pipe->execute(preq).injectedSlowdowns;
-                    } else {
-                        pipeline::GraphRun graph_run;
-                        workload.forwardGraph(*input, req, &graph_run);
-                        sr.faultsInjected += graph_run.injectedSlowdowns;
-                    }
+                    pipeline::GraphRun graph_run;
+                    workload.forwardGraph(*input, req, &graph_run);
+                    sr.faultsInjected += graph_run.injectedSlowdowns;
                     break;
                 } catch (const pipeline::FaultError &) {
                     ++sr.faultsInjected;
@@ -566,8 +537,6 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
     result->serve.offeredRps =
         pipeline::isOpenLoop(spec.arrival) ? spec.rateRps : 0.0;
     result->serve.coalesce = spec.maxBatch;
-    result->serve.batcher = pipeline::batcherKindName(spec.batcher);
-    result->serve.pipelined = spec.pipelineServe;
     result->serve.batches = stream.serviceCalls;
     result->serve.ok = stream.ok;
     result->serve.degraded = stream.degraded;

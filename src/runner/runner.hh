@@ -50,10 +50,11 @@ data::Batch coalesceBatches(const std::vector<data::Batch> &batches,
  * feeds the latency percentiles. The metric is evaluated on a held-out
  * test batch after training.
  *
- * Serve mode: `requests` (default 8x inflight) closed-loop requests
- * with `inflight` concurrent slots pipelined through the stage graph.
- * Latency percentiles are per-request service times; throughput is
- * aggregate samples per second over the serving window.
+ * Serve mode: `requests` (default 8x inflight) requests, closed or
+ * open loop, on `inflight` concurrent slots; each slot runs its
+ * request's stage graph through forwardGraph. Latency percentiles are
+ * per-request (queue wait + service); throughput is aggregate samples
+ * per second over the serving window.
  */
 RunResult runOne(const RunSpec &spec);
 

@@ -88,15 +88,11 @@ RunResult::toJson() const
     // default record stay byte-identical.
     spec_json.set("coalesce", static_cast<int64_t>(spec.maxBatch));
     // Serving-scheduler knobs (additive v1 fields, non-default only).
-    if (spec.batcher != pipeline::BatcherKind::Static)
-        spec_json.set("batcher", pipeline::batcherKindName(spec.batcher));
     if (spec.batchWaitUs > 0)
         spec_json.set("batch_wait_us",
                       static_cast<int64_t>(spec.batchWaitUs));
     if (!spec.classes.empty())
         spec_json.set("classes", spec.classes);
-    if (spec.pipelineServe)
-        spec_json.set("pipeline", true);
     // Fault-tolerance knobs (additive v1 fields).
     spec_json.set("faults", spec.faults);
     spec_json.set("queue_cap", static_cast<int64_t>(spec.queueCap));
@@ -180,12 +176,7 @@ RunResult::toJson() const
         serve_json.set("faults_injected",
                        static_cast<int64_t>(serve.faultsInjected));
         serve_json.set("goodput_rps", serve.goodputRps);
-        // Serving-scheduler accounting (additive, non-default only:
-        // the default static/unpipelined record stays byte-identical).
-        if (serve.batcher != "static")
-            serve_json.set("batcher", serve.batcher);
-        if (serve.pipelined)
-            serve_json.set("pipelined", true);
+        // Per-class accounting (additive, classed streams only).
         if (!serve.classes.empty()) {
             core::JsonValue classes_json = core::JsonValue::array();
             for (const ClassStats &cs : serve.classes) {

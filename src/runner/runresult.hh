@@ -112,10 +112,6 @@ struct ServeStats
      * its historical JSON name "coalesce"; mirrors spec.maxBatch.
      */
     int coalesce = 1;
-    /** Batcher that formed service batches ("static" / "continuous"). */
-    std::string batcher = "static";
-    /** True when the stage-level pipelining engine executed requests. */
-    bool pipelined = false;
     /** Service invocations (< requests when coalescing kicked in). */
     int batches = 0;
     /** Per-class aggregates (spec.classes); empty when classless. */

@@ -121,10 +121,6 @@ RunSpec::toArgs() const
     args.push_back(pipeline::arrivalKindName(arrival));
     args.push_back("--rate");
     args.push_back(strfmt("%.17g", rateRps));
-    if (batcher != pipeline::BatcherKind::Static) {
-        args.push_back("--batcher");
-        args.push_back(pipeline::batcherKindName(batcher));
-    }
     args.push_back("--max-batch");
     args.push_back(strfmt("%d", maxBatch));
     if (batchWaitUs > 0) {
@@ -134,10 +130,6 @@ RunSpec::toArgs() const
     if (!classes.empty()) {
         args.push_back("--classes");
         args.push_back(classes);
-    }
-    if (pipelineServe) {
-        args.push_back("--pipeline");
-        args.push_back("on");
     }
     if (!faults.empty()) {
         args.push_back("--faults");
@@ -179,7 +171,7 @@ RunSpec::toString() const
     std::string text = strfmt(
         "%s fusion=%s mode=%s batch=%lld threads=%d scale=%g seed=%llu "
         "warmup=%d repeat=%d device=%s sched=%s inflight=%d requests=%d "
-        "arrival=%s rate=%g batcher=%s max_batch=%d faults=%s "
+        "arrival=%s rate=%g max_batch=%d faults=%s "
         "queue_cap=%d deadline_ms=%g retries=%d shed=%s",
         workload.c_str(),
         hasFusion ? fusion::fusionKindName(fusionKind) : "default",
@@ -187,16 +179,13 @@ RunSpec::toString() const
         static_cast<double>(sizeScale),
         static_cast<unsigned long long>(seed), warmup, repeat,
         device.c_str(), pipeline::schedPolicyName(sched), inflight,
-        requests, pipeline::arrivalKindName(arrival), rateRps,
-        pipeline::batcherKindName(batcher), maxBatch,
+        requests, pipeline::arrivalKindName(arrival), rateRps, maxBatch,
         faults.empty() ? "none" : faults.c_str(), queueCap,
         deadlineMs, retries, shed ? "on" : "off");
     if (batchWaitUs > 0)
         text += strfmt(" batch_wait_us=%d", batchWaitUs);
     if (!classes.empty())
         text += strfmt(" classes=%s", classes.c_str());
-    if (pipelineServe)
-        text += " pipeline=on";
     if (fuseKernels)
         text += strfmt(" fuse_kernels=on autotune=%s",
                        solver::autotuneModeName(autotune));
@@ -423,14 +412,16 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
             }
             spec->rateRps = v;
         } else if (flag == "--batcher") {
-            pipeline::BatcherKind kind;
-            if (!pipeline::tryParseBatcherKind(value, &kind)) {
+            const std::string b = toLower(value);
+            if (b != "static" && b != "continuous") {
                 *error = strfmt("unknown --batcher value '%s' "
                                 "(expected static or continuous)",
                                 value.c_str());
                 return false;
             }
-            spec->batcher = kind;
+            warn("--batcher is deprecated and ignored: --max-batch N "
+                 "batches, --batch-wait-us U holds an under-filled "
+                 "batch");
         } else if (flag == "--max-batch") {
             int64_t v;
             if (!parseInt64(value, &v) || v <= 0) {
@@ -454,15 +445,14 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
             spec->classes = value;
         } else if (flag == "--pipeline") {
             const std::string p = toLower(value);
-            if (p == "on" || p == "true" || p == "1") {
-                spec->pipelineServe = true;
-            } else if (p == "off" || p == "false" || p == "0") {
-                spec->pipelineServe = false;
-            } else {
+            if (p != "on" && p != "true" && p != "1" && p != "off" &&
+                p != "false" && p != "0") {
                 *error = strfmt("--pipeline expects on or off, got "
                                 "'%s'", value.c_str());
                 return false;
             }
+            warn("--pipeline is deprecated and ignored: every serve "
+                 "slot runs its request's graph itself");
         } else if (flag == "--faults") {
             // Grammar-checked after the loop (seed-independent), so
             // flag order can't change whether a spec parses.
@@ -541,12 +531,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
                      "--arrival poisson or --arrival fixed";
             return false;
         }
-        if (spec->batcher == pipeline::BatcherKind::Continuous) {
-            *error = "--batcher continuous re-forms batches from the "
-                     "open-loop queue; add --arrival poisson or "
-                     "--arrival fixed";
-            return false;
-        }
         if (spec->batchWaitUs > 0) {
             *error = "--batch-wait-us holds an under-filled open-loop "
                      "batch; add --arrival poisson or --arrival fixed";
@@ -573,12 +557,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
             return false;
         }
     }
-    if (spec->batchWaitUs > 0 &&
-        spec->batcher != pipeline::BatcherKind::Continuous) {
-        *error = "--batch-wait-us holds an under-filled continuous "
-                 "batch; add --batcher continuous";
-        return false;
-    }
     if (!spec->classes.empty()) {
         // Grammar check at parse time, same contract as --faults.
         pipeline::ClassPlan plan;
@@ -592,11 +570,6 @@ parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
     // Fault-tolerance flags are serve-mode features; rejecting them
     // elsewhere keeps every emitted record honest about what ran.
     if (spec->mode != RunMode::Serve) {
-        if (spec->pipelineServe) {
-            *error = "--pipeline overlaps serve-mode requests across "
-                     "pipeline stages; add --mode serve";
-            return false;
-        }
         if (!spec->faults.empty()) {
             *error = "--faults injects into serve-mode requests; add "
                      "--mode serve";

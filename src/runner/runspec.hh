@@ -71,21 +71,12 @@ struct RunSpec
     pipeline::ArrivalKind arrival = pipeline::ArrivalKind::Closed;
     /** Serve mode: open-loop offered rate, requests/second. */
     double rateRps = 0.0;
-    /** Serve mode, open loop: how service batches are formed. */
-    pipeline::BatcherKind batcher = pipeline::BatcherKind::Static;
     /** Serve mode, open loop: batch up to N queued requests. */
     int maxBatch = 1;
-    /** Continuous batcher: under-filled batch hold time, microseconds. */
+    /** Serve mode, open loop: under-filled batch hold time, microseconds. */
     int batchWaitUs = 0;
     /** Serve mode, open loop: request-class spec (classes.hh); ""=none. */
     std::string classes;
-    /**
-     * Serve mode: stage-level pipelining. Requests execute on a shared
-     * stage scheduler whose workers overlap the encoder wave of one
-     * request with the fusion/head stages of another, instead of each
-     * slot running its graph as an indivisible unit.
-     */
-    bool pipelineServe = false;
     /** Serve mode: fault-injection spec (faults.hh grammar); "" = none. */
     std::string faults;
     /** Serve mode, open loop: admission-queue bound; 0 = unbounded. */
@@ -141,13 +132,15 @@ struct RunSpec
  * Parse CLI flags ("--workload", "--fusion", "--mode", "--batch",
  * "--threads", "--scale", "--seed", "--warmup", "--repeat",
  * "--device", "--sched", "--inflight", "--requests", "--arrival",
- * "--rate", "--batcher", "--max-batch", "--batch-wait-us",
- * "--classes", "--pipeline", "--faults", "--queue-cap",
- * "--deadline-ms", "--retries", "--shed", "--dtype") into *spec.
- * Flags not present keep the spec's current values, so callers can
- * pre-seed defaults. Fails with a message in *error on unknown flags,
- * malformed values, or unknown workload/fusion/device names; the
- * workload must name a registered workload.
+ * "--rate", "--max-batch", "--batch-wait-us", "--classes",
+ * "--faults", "--queue-cap", "--deadline-ms", "--retries", "--shed",
+ * "--dtype") into *spec. Flags not present keep the spec's current
+ * values, so callers can pre-seed defaults. Fails with a message in
+ * *error on unknown flags, malformed values, or unknown
+ * workload/fusion/device names; the workload must name a registered
+ * workload. The deprecated `--pipeline on|off` and `--batcher
+ * static|continuous` still parse: their value is checked, a warning
+ * is printed, and the spec is left as it was.
  */
 bool parseRunSpec(const std::vector<std::string> &args, RunSpec *spec,
                   std::string *error);

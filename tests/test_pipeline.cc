@@ -3,20 +3,18 @@
  * Stage-graph execution tests: graph construction for every
  * registered workload, scheduler unit behavior, parallel-vs-
  * sequential bit-exactness across thread counts, trace equivalence of
- * the merged node timeline, serve-mode statistics, sweep-spec
- * expansion and the serve fields of the JSON sink schema.
+ * the merged node timeline, serve-mode statistics, concurrent serve
+ * slots (bitwise under mixed drop masks), the StagePipe adapter,
+ * sweep-spec expansion and the serve fields of the JSON sink schema.
  *
  * CMake runs this binary with MMBENCH_NUM_THREADS=4 so the worker
  * pool has real workers even on single-core CI hosts.
  */
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -27,11 +25,13 @@
 #include "pipeline/faults.hh"
 #include "pipeline/graph.hh"
 #include "pipeline/scheduler.hh"
+#include "pipeline/serve.hh"
 #include "pipeline/stagepipe.hh"
 #include "profile/profiler.hh"
 #include "runner/runner.hh"
 #include "runner/runspec.hh"
 #include "runner/sink.hh"
+#include "tensor/pool.hh"
 #include "trace/scope.hh"
 
 using namespace mmbench;
@@ -698,21 +698,69 @@ TEST(RunSpecParse, TemplateAllowsMissingWorkload)
         {"--workload", "nope"}, &spec, &error));
 }
 
-// ------------------------------------------------------------- StagePipe
+// ------------------------------------------------------ concurrent serve
 
-TEST(StagePipe, BitwiseMatchesUnpipelinedAcrossThreadCounts)
+namespace {
+
+/**
+ * Serve `batches` the way runServe's slots do: a closed-loop stream on
+ * `threads` slots, each slot running its request through forwardGraph
+ * on its own thread (sequential policy, grad off, a per-request arena
+ * scope) under the request's drop mask. Returns each request's output;
+ * *pruned receives each request's pruned-node count.
+ */
+std::vector<tensor::Tensor>
+serveThroughSlots(models::MultiModalWorkload &w,
+                  const std::vector<data::Batch> &batches,
+                  const std::vector<uint32_t> &masks, int threads,
+                  std::vector<int> *pruned)
 {
-    // The serving pipeline work-shares node tasks across in-flight
-    // requests (one request's encoders overlap another's fusion/head).
-    // Node bodies are deterministic functions of their slot inputs, so
-    // every request's output must stay bitwise identical to the
-    // ambient unpipelined forward, whatever the slot count.
+    const int total = static_cast<int>(batches.size());
+    std::vector<tensor::Tensor> outputs(batches.size());
+    pruned->assign(batches.size(), -1);
+    core::ScopedNumThreads guard(threads);
+    pipeline::ServeLoopOptions loop;
+    loop.inflight = threads;
+    const pipeline::ServeLoopResult stream = pipeline::runServeLoop(
+        total, loop, [&](const pipeline::ServiceCall &call) {
+            tensor::RequestArenaScope arena;
+            autograd::NoGradGuard no_grad;
+            const size_t r = static_cast<size_t>(call.first);
+            pipeline::ScheduleOptions opts;
+            opts.dropMask = masks[r];
+            pipeline::GraphRun run;
+            outputs[r] = w.forwardGraph(batches[r], opts, &run).value();
+            (*pruned)[r] = run.prunedNodes;
+            return pipeline::ServiceResult{};
+        });
+    EXPECT_EQ(stream.ok, total);
+    return outputs;
+}
+
+int
+popcount(uint32_t mask)
+{
+    int n = 0;
+    for (; mask != 0; mask &= mask - 1)
+        ++n;
+    return n;
+}
+
+} // namespace
+
+TEST(ConcurrentServe, SlotsMatchTheSerialForwardAcrossThreadCounts)
+{
+    // Serve slots run their requests' graphs concurrently, sharing the
+    // workload, its graph and its memory plan. Node bodies are
+    // deterministic functions of their slot inputs, so every request's
+    // output must stay bitwise identical to a one-thread forward,
+    // whatever the slot count.
     for (const char *name : {"transfuser", "medical-seg"}) {
         auto w = models::WorkloadRegistry::instance().createDefault(
             name, 0.35f);
         w->train(false);
         auto task = w->makeTask(11);
-        const int requests = 4;
+        const int requests = 8;
         std::vector<data::Batch> batches;
         for (int r = 0; r < requests; ++r)
             batches.push_back(task.sample(2));
@@ -721,119 +769,45 @@ TEST(StagePipe, BitwiseMatchesUnpipelinedAcrossThreadCounts)
         for (const data::Batch &b : batches)
             reference.push_back(
                 forwardWith(*w, b, SchedPolicy::Sequential, 1));
+        // Lazy plan construction is single-threaded by contract: prime
+        // it before requests race, as runServe does.
+        w->memoryPlan(SchedPolicy::Sequential);
 
-        // Lazy graph/plan construction is single-threaded by contract:
-        // prime both before requests race into the pipe.
-        const pipeline::StageGraph &graph = w->stageGraph();
-        const pipeline::MemoryPlan &plan =
-            w->memoryPlan(SchedPolicy::Parallel);
-
+        const std::vector<uint32_t> masks(requests, 0u);
         for (int threads : {1, 4}) {
-            core::ScopedNumThreads guard(threads);
-            pipeline::StagePipe pipe(graph, &plan, w->stashSlots());
-            std::vector<tensor::Tensor> outputs(
-                static_cast<size_t>(requests));
-            core::parallelFor(
-                0, requests, 1, [&](int64_t begin, int64_t end) {
-                    autograd::NoGradGuard no_grad;
-                    for (int64_t r = begin; r < end; ++r) {
-                        pipeline::PipeRequest req;
-                        req.batch = &batches[static_cast<size_t>(r)];
-                        outputs[static_cast<size_t>(r)] =
-                            pipe.execute(req).output.value();
-                    }
-                });
-            for (int r = 0; r < requests; ++r)
-                expectBitwiseEqual(
-                    reference[static_cast<size_t>(r)],
-                    outputs[static_cast<size_t>(r)],
-                    std::string(name) + " pipelined t" +
-                        std::to_string(threads) + " r" +
-                        std::to_string(r));
-            EXPECT_EQ(pipe.activeJobs(), 0);
+            std::vector<int> pruned;
+            const std::vector<tensor::Tensor> outputs =
+                serveThroughSlots(*w, batches, masks, threads, &pruned);
+            for (int r = 0; r < requests; ++r) {
+                const size_t k = static_cast<size_t>(r);
+                expectBitwiseEqual(reference[k], outputs[k],
+                                   std::string(name) + " t" +
+                                       std::to_string(threads) + " r" +
+                                       std::to_string(r));
+                EXPECT_EQ(pruned[k], 0);
+            }
         }
     }
 }
 
-TEST(StagePipe, DropMaskPrunesAndZeroImputesLikeTheScheduler)
+TEST(ConcurrentServe, MixedDropMasksUnderContentionStayBitwise)
 {
-    // A request with dropped modalities must produce the same output
-    // through the pipe as through the (sequential) scheduler's
-    // degraded path.
-    auto w = models::WorkloadRegistry::instance().createDefault(
-        "medical-seg", 0.35f);
-    w->train(false);
-    w->primeDegraded();
-    auto task = w->makeTask(13);
-    data::Batch batch = task.sample(2);
-    const uint32_t mask = 0b0110; // drop T1c and T2
-
-    autograd::NoGradGuard no_grad;
-    pipeline::ScheduleOptions opts;
-    opts.policy = SchedPolicy::Sequential;
-    opts.dropMask = mask;
-    const tensor::Tensor reference =
-        w->forwardGraph(batch, opts).value();
-
-    pipeline::StagePipe pipe(w->stageGraph(),
-                             &w->memoryPlan(SchedPolicy::Parallel),
-                             w->stashSlots());
-    pipeline::PipeRequest req;
-    req.batch = &batch;
-    req.dropMask = mask;
-    const pipeline::PipeCompletion done = pipe.execute(req);
-    expectBitwiseEqual(reference, done.output.value(),
-                       "medical-seg degraded pipelined");
-    // Two modalities dropped: preprocess + encoder pruned for each.
-    EXPECT_EQ(done.prunedNodes, 4);
-}
-
-TEST(StagePipe, InjectedFailureRethrowsOnTheOwningRequest)
-{
-    auto w = models::WorkloadRegistry::instance().createDefault(
-        "av-mnist", 0.35f);
-    w->train(false);
-    auto task = w->makeTask(3);
-    data::Batch batch = task.sample(2);
-
-    pipeline::FaultPlan plan;
-    std::string error;
-    ASSERT_TRUE(pipeline::parseFaultPlan("fail:node=fusion:p=1", 5,
-                                         &plan, &error))
-        << error;
-
-    autograd::NoGradGuard no_grad;
-    pipeline::StagePipe pipe(w->stageGraph(),
-                             &w->memoryPlan(SchedPolicy::Parallel),
-                             w->stashSlots());
-    pipeline::PipeRequest req;
-    req.batch = &batch;
-    req.faults = &plan;
-    req.faultRequest = 0;
-    req.faultAttempt = 0;
-    EXPECT_THROW(pipe.execute(req), pipeline::FaultError);
-    // The failed job retired: the pipe is reusable and a fault-free
-    // request still completes.
-    EXPECT_EQ(pipe.activeJobs(), 0);
-    pipeline::PipeRequest clean;
-    clean.batch = &batch;
-    EXPECT_NO_THROW(pipe.execute(clean));
-}
-
-TEST(StagePipe, MixedDropMasksUnderContentionStayBitwise)
-{
-    // Saturation: six requests with mixed drop masks race through the
-    // pipe, so jobs of different masks interleave their waves on the
-    // same slots. Every request's output must stay bitwise identical
-    // to its unpipelined degraded forward.
+    // Requests with different drop masks run side by side on the
+    // slots. Each must prune exactly its dropped modalities'
+    // preprocess + encoder nodes and answer bitwise like its serial
+    // degraded forward.
     for (const char *name : {"transfuser", "medical-seg"}) {
         auto w = models::WorkloadRegistry::instance().createDefault(
             name, 0.35f);
         w->train(false);
         w->primeDegraded();
         auto task = w->makeTask(19);
-        const int requests = 6;
-        const uint32_t masks[requests] = {0, 0, 0b0010, 0, 0b0010, 0};
+        // 0b0110 drops two of medical-seg's four sequences (T1c, T2)
+        // and only the second of transfuser's two modalities.
+        const uint32_t live = (1u << w->numModalities()) - 1u;
+        const std::vector<uint32_t> masks = {
+            0, 0, 0b0010, 0, 0b0010, 0b0110u & live, 0, 0b0010};
+        const int requests = static_cast<int>(masks.size());
         std::vector<data::Batch> batches;
         for (int r = 0; r < requests; ++r)
             batches.push_back(task.sample(2));
@@ -842,211 +816,114 @@ TEST(StagePipe, MixedDropMasksUnderContentionStayBitwise)
         for (int r = 0; r < requests; ++r) {
             autograd::NoGradGuard no_grad;
             pipeline::ScheduleOptions opts;
-            opts.policy = SchedPolicy::Sequential;
-            opts.dropMask = masks[r];
+            opts.dropMask = masks[static_cast<size_t>(r)];
             reference.push_back(
                 w->forwardGraph(batches[static_cast<size_t>(r)], opts)
                     .value());
         }
 
-        const pipeline::StageGraph &graph = w->stageGraph();
-        const pipeline::MemoryPlan &plan =
-            w->memoryPlan(SchedPolicy::Parallel);
-
         for (int threads : {1, 4}) {
-            core::ScopedNumThreads guard(threads);
-            pipeline::StagePipe pipe(graph, &plan, w->stashSlots());
-            std::vector<tensor::Tensor> outputs(
-                static_cast<size_t>(requests));
-            core::parallelFor(
-                0, requests, 1, [&](int64_t begin, int64_t end) {
-                    autograd::NoGradGuard no_grad;
-                    for (int64_t r = begin; r < end; ++r) {
-                        pipeline::PipeRequest req;
-                        req.batch = &batches[static_cast<size_t>(r)];
-                        req.dropMask = masks[r];
-                        outputs[static_cast<size_t>(r)] =
-                            pipe.execute(req).output.value();
-                    }
-                });
-            for (int r = 0; r < requests; ++r)
-                expectBitwiseEqual(
-                    reference[static_cast<size_t>(r)],
-                    outputs[static_cast<size_t>(r)],
-                    std::string(name) + " mixed masks t" +
-                        std::to_string(threads) + " r" +
-                        std::to_string(r));
-            EXPECT_EQ(pipe.activeJobs(), 0);
+            std::vector<int> pruned;
+            const std::vector<tensor::Tensor> outputs =
+                serveThroughSlots(*w, batches, masks, threads, &pruned);
+            for (int r = 0; r < requests; ++r) {
+                const size_t k = static_cast<size_t>(r);
+                expectBitwiseEqual(reference[k], outputs[k],
+                                   std::string(name) + " mixed masks t" +
+                                       std::to_string(threads) + " r" +
+                                       std::to_string(r));
+                EXPECT_EQ(pruned[k], 2 * popcount(masks[k]))
+                    << name << " r" << r;
+            }
         }
     }
 }
 
-// ------------------------------------------------ ready-list ordering
-
-namespace {
-
-data::Batch makeLatchBatch(int64_t rows, uint64_t seed)
+TEST(Scheduler, InjectedFailureThrowsAndLeavesTheWorkloadReusable)
 {
-    Rng rng(seed);
-    data::Batch b;
-    b.modalities.push_back(tensor::Tensor::randn({rows, 512}, rng));
-    b.modalities.push_back(tensor::Tensor::randn({rows, 512}, rng));
-    b.size = rows;
-    return b;
+    // A fail fault throws FaultError out of forwardGraph, stamped with
+    // the node and the (request, attempt) it was rolled on; the next
+    // request on the same workload runs clean.
+    auto w = models::WorkloadRegistry::instance().createDefault(
+        "av-mnist", 0.35f);
+    w->train(false);
+    auto task = w->makeTask(3);
+    data::Batch batch = task.sample(2);
+    const tensor::Tensor reference =
+        forwardWith(*w, batch, SchedPolicy::Sequential, 1);
+
+    pipeline::FaultPlan plan;
+    std::string error;
+    ASSERT_TRUE(pipeline::parseFaultPlan("fail:node=fusion:p=1", 5,
+                                         &plan, &error))
+        << error;
+
+    autograd::NoGradGuard no_grad;
+    pipeline::ScheduleOptions opts;
+    opts.faults = &plan;
+    opts.faultRequest = 7;
+    opts.faultAttempt = 2;
+    bool thrown = false;
+    try {
+        w->forwardGraph(batch, opts);
+    } catch (const pipeline::FaultError &e) {
+        thrown = true;
+        EXPECT_EQ(e.node(), "fusion");
+        EXPECT_EQ(e.request(), 7);
+        EXPECT_EQ(e.attempt(), 2);
+    }
+    EXPECT_TRUE(thrown);
+    expectBitwiseEqual(
+        reference, w->forwardGraph(batch, pipeline::ScheduleOptions())
+                       .value(),
+        "clean request after a failed one");
 }
 
-/**
- * Three jobs with distinct priorities on a two-encoder graph, driven
- * by per-job gates so every interesting pick happens while the ready
- * list provably holds more than one job. Jobs are identified by their
- * batch row count (A=1, B=2, C=3); encoder bodies record their start
- * and then spin on their job's gate (all but A:enc1, see below), head
- * bodies just record. A gate still shut after 30 s fails the test. The
- * recorded start order pins the ready list's priority-then-FIFO rank.
- */
-struct PriorityProbeGraph
+// ------------------------------------------------- StagePipe adapter
+
+TEST(StagePipe, AdapterMatchesForwardGraphUnderEightCallers)
 {
-    pipeline::StageGraph graph;
-    std::atomic<bool> gate[3] = {{false}, {false}, {false}};
-    std::mutex mu;
-    std::vector<std::string> starts;
-
-    PriorityProbeGraph()
-    {
-        auto record = [this](pipeline::ExecContext &ctx,
-                             const char *node, bool latch) {
-            const size_t job =
-                static_cast<size_t>(ctx.batch->size) - 1;
-            {
-                std::lock_guard<std::mutex> hold(mu);
-                starts.push_back(std::string(1, "ABC"[job]) + ":" +
-                                 node);
-            }
-            if (!latch)
-                return;
-            const auto deadline = std::chrono::steady_clock::now() +
-                                  std::chrono::seconds(30);
-            while (!gate[job]) {
-                if (std::chrono::steady_clock::now() > deadline) {
-                    ADD_FAILURE() << "gate " << "ABC"[job]
-                                  << " never opened for " << node;
-                    return;
-                }
-                std::this_thread::yield();
-            }
-        };
-        pipeline::StageNode n0;
-        n0.name = "enc0";
-        n0.modality = 0;
-        n0.body = [=](pipeline::ExecContext &ctx) {
-            record(ctx, "enc0", true);
-            ctx.slots[0] =
-                Var(tensor::Tensor::zeros({ctx.batch->size, 4}));
-        };
-        pipeline::StageNode n1;
-        n1.name = "enc1";
-        n1.modality = 1;
-        n1.body = [=](pipeline::ExecContext &ctx) {
-            // A:enc1 must not park. Once C's encoders are released,
-            // the thread that finishes C:enc1 first may pick A:enc1,
-            // the only ready task, while C:enc0 still runs; if it
-            // parked on gate A, B's owner would finish C:enc0 and
-            // retire, and C:head would wait for the gate that the test
-            // opens only after C:head starts.
-            record(ctx, "enc1", ctx.batch->size != 1);
-            ctx.slots[1] =
-                Var(tensor::Tensor::zeros({ctx.batch->size, 4}));
-        };
-        const size_t i0 = graph.addNode(std::move(n0));
-        const size_t i1 = graph.addNode(std::move(n1));
-        pipeline::StageNode head;
-        head.name = "head";
-        head.deps = {i0, i1};
-        head.body = [=](pipeline::ExecContext &ctx) {
-            record(ctx, "head", false);
-            ctx.slots[2] =
-                Var(tensor::Tensor::zeros({ctx.batch->size, 4}));
-        };
-        graph.addNode(std::move(head));
-    }
-
-    bool waitForStart(const std::string &what)
-    {
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::seconds(30);
-        while (std::chrono::steady_clock::now() < deadline) {
-            {
-                std::lock_guard<std::mutex> hold(mu);
-                for (const std::string &s : starts)
-                    if (s == what)
-                        return true;
-            }
-            std::this_thread::yield();
+    // StagePipe survives only as an adapter over runGraph. Eight
+    // threads call it at once, as the benchmark's output check does,
+    // and each answer must equal forwardGraph's bitwise.
+    constexpr int kCallers = 8;
+    for (const char *name : {"transfuser", "medical-seg"}) {
+        auto w = models::WorkloadRegistry::instance().createDefault(
+            name, 0.35f);
+        w->train(false);
+        auto task = w->makeTask(23);
+        std::vector<data::Batch> batches;
+        std::vector<tensor::Tensor> expect;
+        for (int i = 0; i < kCallers; ++i) {
+            batches.push_back(task.sample(2));
+            expect.push_back(forwardWith(*w, batches.back(),
+                                         SchedPolicy::Sequential, 1));
         }
-        return false;
+
+        const pipeline::StagePipe pipe(
+            w->stageGraph(), &w->memoryPlan(SchedPolicy::Parallel),
+            w->stashSlots());
+        const std::string tag =
+            fusion::fusionKindName(w->config().fusionKind);
+        std::vector<tensor::Tensor> got(kCallers);
+        std::vector<std::thread> callers;
+        for (int i = 0; i < kCallers; ++i) {
+            callers.emplace_back([&, i] {
+                const size_t k = static_cast<size_t>(i);
+                autograd::NoGradGuard no_grad;
+                tensor::RequestArenaScope arena;
+                pipeline::PipeRequest request;
+                request.batch = &batches[k];
+                request.tag = tag;
+                got[k] = pipe.execute(request).output.value();
+            });
+        }
+        for (std::thread &caller : callers)
+            caller.join();
+        for (int i = 0; i < kCallers; ++i)
+            expectBitwiseEqual(expect[static_cast<size_t>(i)],
+                               got[static_cast<size_t>(i)],
+                               std::string(name) + " caller " +
+                                   std::to_string(i));
     }
-
-    size_t indexOf(const std::string &what)
-    {
-        std::lock_guard<std::mutex> hold(mu);
-        for (size_t i = 0; i < starts.size(); ++i)
-            if (starts[i] == what)
-                return i;
-        return starts.size();
-    }
-};
-
-} // namespace
-
-TEST(StagePipe, ReadyListPicksPriorityThenFifoAcrossJobs)
-{
-    PriorityProbeGraph g;
-    const data::Batch a = makeLatchBatch(1, 201);
-    const data::Batch b = makeLatchBatch(2, 202);
-    const data::Batch c = makeLatchBatch(3, 203);
-
-    pipeline::StagePipe pipe(g.graph, nullptr, 0);
-    auto submit = [&](const data::Batch &batch, int priority) {
-        autograd::NoGradGuard no_grad;
-        pipeline::PipeRequest req;
-        req.batch = &batch;
-        req.priority = priority;
-        pipe.execute(req);
-    };
-
-    // A (prio 0) starts its own enc0 and latches on gate A.
-    std::thread t1([&] { submit(a, 0); });
-    ASSERT_TRUE(g.waitForStart("A:enc0"));
-    // B (prio 2) outranks A's pending enc1, so t2 picks B:enc0.
-    std::thread t2([&] { submit(b, 2); });
-    ASSERT_TRUE(g.waitForStart("B:enc0"));
-    // t3's own job C (prio 1) is outranked by B's remaining encoder:
-    // the pick crosses jobs by priority, not submission order.
-    std::thread t3([&] { submit(c, 1); });
-    ASSERT_TRUE(g.waitForStart("B:enc1"));
-
-    // Open gate B: its encoders finish and the freed threads pick
-    // B:head (prio 2) and then C's encoders (prio 1) — never A:enc1.
-    g.gate[1] = true;
-    ASSERT_TRUE(g.waitForStart("B:head"));
-    ASSERT_TRUE(g.waitForStart("C:enc0"));
-    g.gate[2] = true;
-    ASSERT_TRUE(g.waitForStart("C:head"));
-    g.gate[0] = true;
-    t1.join();
-    t2.join();
-    t3.join();
-
-    EXPECT_EQ(pipe.activeJobs(), 0);
-    ASSERT_EQ(g.starts.size(), 9u);
-    // Deterministic prefix: each submission's pick happened alone.
-    EXPECT_EQ(g.starts[0], "A:enc0");
-    EXPECT_EQ(g.starts[1], "B:enc0");
-    EXPECT_EQ(g.starts[2], "B:enc1");
-    // Race-free partial orders: whenever a thread chose among ready
-    // jobs, the higher-priority job's task started first even though
-    // A was submitted before both B and C.
-    EXPECT_LT(g.indexOf("C:enc0"), g.indexOf("A:enc1"));
-    EXPECT_LT(g.indexOf("C:enc1"), g.indexOf("A:enc1"));
-    EXPECT_LT(g.indexOf("B:head"), g.indexOf("C:enc1"));
 }

@@ -148,7 +148,6 @@ TEST(RunSpecParse, ArrivalFlagsParseAndRoundTrip)
         << error;
     EXPECT_EQ(spec.arrival, pipeline::ArrivalKind::Poisson);
     EXPECT_DOUBLE_EQ(spec.rateRps, 128.5);
-    EXPECT_EQ(spec.batcher, pipeline::BatcherKind::Static);
     EXPECT_EQ(spec.maxBatch, 4);
 
     RunSpec reparsed;
@@ -1122,25 +1121,95 @@ TEST(RunSpecParse, ServingSchedulerFlagsParseAndRoundTrip)
     std::string error;
     ASSERT_TRUE(runner::parseRunSpec(
         {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "200", "--batcher", "continuous",
-         "--max-batch", "8", "--batch-wait-us", "250", "--classes",
-         "hi:share=1:prio=1;lo:share=3", "--pipeline", "on"},
+         "poisson", "--rate", "200", "--max-batch", "8",
+         "--batch-wait-us", "250", "--classes",
+         "hi:share=1:prio=1;lo:share=3"},
         &spec, &error))
         << error;
-    EXPECT_EQ(spec.batcher, pipeline::BatcherKind::Continuous);
     EXPECT_EQ(spec.maxBatch, 8);
     EXPECT_EQ(spec.batchWaitUs, 250);
     EXPECT_EQ(spec.classes, "hi:share=1:prio=1;lo:share=3");
-    EXPECT_TRUE(spec.pipelineServe);
 
     RunSpec reparsed;
     ASSERT_TRUE(runner::parseRunSpec(spec.toArgs(), &reparsed, &error))
         << error;
-    EXPECT_EQ(reparsed.batcher, spec.batcher);
     EXPECT_EQ(reparsed.maxBatch, spec.maxBatch);
     EXPECT_EQ(reparsed.batchWaitUs, spec.batchWaitUs);
     EXPECT_EQ(reparsed.classes, spec.classes);
-    EXPECT_EQ(reparsed.pipelineServe, spec.pipelineServe);
+}
+
+TEST(RunSpecParse, DeprecatedPipelineAndBatcherFlagsWarnAndChangeNothing)
+{
+    // --pipeline and --batcher select nothing any more. Every valid
+    // value parses with a deprecation warning and leaves the spec
+    // equal to one parsed without the flag; neither flag round-trips.
+    const std::vector<std::string> base = {
+        "--workload", "transfuser", "--mode", "serve", "--arrival",
+        "poisson", "--rate", "400", "--max-batch", "8"};
+    RunSpec plain;
+    std::string error;
+    ASSERT_TRUE(runner::parseRunSpec(base, &plain, &error)) << error;
+
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        flags = {{"--pipeline", {"on", "off", "true", "false", "1", "0",
+                                 "ON"}},
+                 {"--batcher", {"static", "continuous", "Continuous"}}};
+    for (const auto &flag : flags) {
+        for (const std::string &value : flag.second) {
+            std::vector<std::string> args = base;
+            args.push_back(flag.first);
+            args.push_back(value);
+            RunSpec spec;
+            ::testing::internal::CaptureStderr();
+            const bool ok = runner::parseRunSpec(args, &spec, &error);
+            const std::string warned =
+                ::testing::internal::GetCapturedStderr();
+            ASSERT_TRUE(ok) << flag.first << " " << value << ": "
+                            << error;
+            EXPECT_NE(warned.find(flag.first + " is deprecated"),
+                      std::string::npos)
+                << flag.first << " " << value << ": " << warned;
+            EXPECT_EQ(spec.toArgs(), plain.toArgs())
+                << flag.first << " " << value;
+            EXPECT_EQ(spec.toString(), plain.toString())
+                << flag.first << " " << value;
+            for (const std::string &arg : spec.toArgs()) {
+                EXPECT_NE(arg, "--pipeline");
+                EXPECT_NE(arg, "--batcher");
+            }
+        }
+    }
+
+    // Ignored everywhere: a closed loop or an infer run accepts them.
+    RunSpec closed;
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(runner::parseRunSpec(
+        {"--workload", "transfuser", "--mode", "serve", "--pipeline",
+         "on", "--batcher", "continuous"},
+        &closed, &error))
+        << error;
+    ::testing::internal::GetCapturedStderr();
+    RunSpec infer;
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(runner::parseRunSpec(
+        {"--workload", "transfuser", "--pipeline", "on"}, &infer,
+        &error))
+        << error;
+    ::testing::internal::GetCapturedStderr();
+
+    // A bad value is still an error.
+    RunSpec bad;
+    EXPECT_FALSE(runner::parseRunSpec(
+        {"--workload", "transfuser", "--mode", "serve", "--pipeline",
+         "maybe"},
+        &bad, &error));
+    EXPECT_NE(error.find("--pipeline"), std::string::npos);
+    bad = RunSpec();
+    EXPECT_FALSE(runner::parseRunSpec(
+        {"--workload", "transfuser", "--mode", "serve", "--arrival",
+         "poisson", "--rate", "100", "--batcher", "dynamic"},
+        &bad, &error));
+    EXPECT_NE(error.find("--batcher"), std::string::npos);
 }
 
 TEST(RunSpecParse, ServingSchedulerFlagErrors)
@@ -1148,26 +1217,13 @@ TEST(RunSpecParse, ServingSchedulerFlagErrors)
     RunSpec spec;
     std::string error;
 
-    // Batch-wait only means something under the continuous batcher.
+    // A batch hold waits on the open-loop queue.
     EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "100", "--batch-wait-us", "500"},
+        {"--workload", "av-mnist", "--mode", "serve", "--batch-wait-us",
+         "500"},
         &spec, &error));
-    EXPECT_NE(error.find("--batcher continuous"), std::string::npos);
-
-    // Pipelining overlaps serve-mode requests: serve mode only.
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--pipeline", "on"}, &spec, &error));
-    EXPECT_NE(error.find("--mode serve"), std::string::npos);
-
-    // The continuous batcher needs an open-loop queue.
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--batcher",
-         "continuous"},
-        &spec, &error));
-    EXPECT_NE(error.find("--batcher continuous"), std::string::npos);
+    EXPECT_NE(error.find("--batch-wait-us"), std::string::npos);
+    EXPECT_NE(error.find("--arrival"), std::string::npos);
 
     // Classes schedule the open-loop admission queue.
     spec = RunSpec();
@@ -1192,18 +1248,6 @@ TEST(RunSpecParse, ServingSchedulerFlagErrors)
          "poisson", "--rate", "100", "--max-batch", "0"},
         &spec, &error));
     EXPECT_NE(error.find("--max-batch"), std::string::npos);
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--arrival",
-         "poisson", "--rate", "100", "--batcher", "dynamic"},
-        &spec, &error));
-    EXPECT_NE(error.find("--batcher"), std::string::npos);
-    spec = RunSpec();
-    EXPECT_FALSE(runner::parseRunSpec(
-        {"--workload", "av-mnist", "--mode", "serve", "--pipeline",
-         "maybe"},
-        &spec, &error));
-    EXPECT_NE(error.find("--pipeline"), std::string::npos);
 }
 
 // ----------------------------------------------- per-class result blocks
@@ -1288,35 +1332,46 @@ TEST(Runner, PerClassResultBlocksAggregateTheStream)
 TEST(Runner, DefaultServeJsonOmitsTheNewSchedulerKeys)
 {
     // The default path (no new flags) must keep the historical record
-    // byte-compatible: no batcher / pipelined / classes keys anywhere.
-    RunSpec spec;
-    spec.workload = "av-mnist";
-    spec.mode = RunMode::Serve;
-    spec.batch = 2;
-    spec.sizeScale = 0.35f;
-    spec.inflight = 1;
-    spec.requests = 2;
+    // byte-compatible: no batch_wait_us / classes keys anywhere. The
+    // deprecated --pipeline and --batcher flags leave no trace either:
+    // no pipeline / pipelined / batcher key, even when they were passed.
+    for (const bool deprecated_flags : {false, true}) {
+        std::vector<std::string> args = {
+            "--workload", "av-mnist", "--mode", "serve", "--batch", "2",
+            "--scale", "0.35", "--inflight", "1", "--requests", "2"};
+        if (deprecated_flags)
+            args.insert(args.end(), {"--pipeline", "on", "--batcher",
+                                     "continuous"});
+        RunSpec spec;
+        std::string error;
+        ::testing::internal::CaptureStderr();
+        const bool parsed = runner::parseRunSpec(args, &spec, &error);
+        ::testing::internal::GetCapturedStderr();
+        ASSERT_TRUE(parsed) << error;
 
-    const JsonValue record = recordFor(spec, "default_keys");
-    const JsonValue *serve = record.find("serve");
-    ASSERT_NE(serve, nullptr);
-    EXPECT_TRUE(serve->has("coalesce")); // historical name, = max batch
-    EXPECT_EQ(serve->find("coalesce")->intValue(), 1);
-    for (const char *key : {"batcher", "pipelined", "classes"})
-        EXPECT_FALSE(serve->has(key)) << key;
-    const JsonValue *spec_json = record.find("spec");
-    ASSERT_NE(spec_json, nullptr);
-    EXPECT_TRUE(spec_json->has("coalesce"));
-    for (const char *key :
-         {"batcher", "batch_wait_us", "classes", "pipeline"})
-        EXPECT_FALSE(spec_json->has(key)) << key;
+        const JsonValue record = recordFor(
+            spec, deprecated_flags ? "deprecated_keys" : "default_keys");
+        const JsonValue *serve = record.find("serve");
+        ASSERT_NE(serve, nullptr);
+        EXPECT_TRUE(serve->has("coalesce")); // historical name, = max batch
+        EXPECT_EQ(serve->find("coalesce")->intValue(), 1);
+        for (const char *key :
+             {"batcher", "pipelined", "pipeline", "classes"})
+            EXPECT_FALSE(serve->has(key)) << key;
+        const JsonValue *spec_json = record.find("spec");
+        ASSERT_NE(spec_json, nullptr);
+        EXPECT_TRUE(spec_json->has("coalesce"));
+        for (const char *key : {"batcher", "batch_wait_us", "classes",
+                                "pipeline", "pipelined"})
+            EXPECT_FALSE(spec_json->has(key)) << key;
+    }
 }
 
-TEST(Runner, PipelinedContinuousServeMatchesUnpipelinedOutcomes)
+TEST(Runner, BatchWaitServeCompletesEveryRequest)
 {
-    // The full pipelined stack end to end: continuous batcher, request
-    // classes and the stage pipeline together must still complete every
-    // request Ok, and the record must say which engine ran.
+    // Open-loop batching end to end on a multi-encoder workload: a
+    // held batch still completes every request Ok, and the record
+    // carries the batch cap and hold it ran with.
     RunSpec spec;
     spec.workload = "transfuser";
     spec.mode = RunMode::Serve;
@@ -1326,10 +1381,8 @@ TEST(Runner, PipelinedContinuousServeMatchesUnpipelinedOutcomes)
     spec.requests = 8;
     spec.arrival = pipeline::ArrivalKind::Fixed;
     spec.rateRps = 2000.0;
-    spec.batcher = pipeline::BatcherKind::Continuous;
     spec.maxBatch = 4;
     spec.batchWaitUs = 300;
-    spec.pipelineServe = true;
 
     const runner::RunResult result = runner::runOne(spec);
     EXPECT_EQ(result.serve.ok, 8);
@@ -1337,16 +1390,13 @@ TEST(Runner, PipelinedContinuousServeMatchesUnpipelinedOutcomes)
     EXPECT_EQ(result.serve.shed, 0);
     EXPECT_LE(result.serve.batches, 8);
 
-    const JsonValue record = recordFor(spec, "pipelined");
+    const JsonValue record = recordFor(spec, "batch_wait");
     const JsonValue *serve = record.find("serve");
     ASSERT_NE(serve, nullptr);
-    EXPECT_EQ(serve->find("batcher")->stringValue(), "continuous");
-    EXPECT_TRUE(serve->find("pipelined")->boolValue());
     EXPECT_EQ(serve->find("coalesce")->intValue(), 4);
     const JsonValue *spec_json = record.find("spec");
-    EXPECT_EQ(spec_json->find("batcher")->stringValue(), "continuous");
+    ASSERT_NE(spec_json, nullptr);
     EXPECT_EQ(spec_json->find("batch_wait_us")->intValue(), 300);
-    EXPECT_TRUE(spec_json->find("pipeline")->boolValue());
 }
 
 TEST(Runner, CoalesceBatchesSkipsTargetsOnTheServePath)

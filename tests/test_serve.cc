@@ -534,6 +534,9 @@ TEST(ServeValidation, RejectsUnrunnableOptions)
     bad = options;
     bad.queueCap = 4;
     EXPECT_FALSE(pipeline::validateServeOptions(8, bad).empty());
+    bad = options;
+    bad.batchWaitUs = 100.0;
+    EXPECT_FALSE(pipeline::validateServeOptions(8, bad).empty());
 
     // Open loop needs a rate.
     bad = options;
@@ -542,6 +545,8 @@ TEST(ServeValidation, RejectsUnrunnableOptions)
     bad.rateRps = 100.0;
     EXPECT_TRUE(pipeline::validateServeOptions(8, bad).empty());
     bad.queueCap = 4; // fine under open loop
+    EXPECT_TRUE(pipeline::validateServeOptions(8, bad).empty());
+    bad.batchWaitUs = 100.0; // so is a batch hold, with no other knob
     EXPECT_TRUE(pipeline::validateServeOptions(8, bad).empty());
 
     bad.deadlineUs = -1.0;
@@ -730,21 +735,7 @@ TEST(RequestLifecycle, DeadlinePressureHintsTheServiceFunction)
               total);
 }
 
-// --------------------------------------------------- continuous batcher
-
-TEST(BatcherKind, NamesParseAndRoundTrip)
-{
-    for (pipeline::BatcherKind kind :
-         {pipeline::BatcherKind::Static,
-          pipeline::BatcherKind::Continuous}) {
-        pipeline::BatcherKind parsed;
-        ASSERT_TRUE(pipeline::tryParseBatcherKind(
-            pipeline::batcherKindName(kind), &parsed));
-        EXPECT_EQ(parsed, kind);
-    }
-    pipeline::BatcherKind parsed;
-    EXPECT_FALSE(pipeline::tryParseBatcherKind("dynamic", &parsed));
-}
+// ------------------------------------------------------ batch formation
 
 namespace {
 
@@ -764,10 +755,10 @@ struct BatchLog
 
 } // namespace
 
-TEST(ContinuousBatcher, BatchCompositionIsDeterministicForAFixedSeed)
+TEST(BatchWait, BatchCompositionIsDeterministicForAFixedSeed)
 {
     // One slot, the whole stream arrives in the first microseconds: the
-    // batch sequence the continuous batcher forms is a pure function of
+    // batch sequence the dispatcher forms is a pure function of
     // the (seeded) arrival schedule and the service times, which the
     // 2 ms sleep makes far coarser than scheduling noise. Two runs must
     // form identical batches.
@@ -778,7 +769,6 @@ TEST(ContinuousBatcher, BatchCompositionIsDeterministicForAFixedSeed)
         options.rateRps = 1e6;
         options.seed = 17;
         options.inflight = 1;
-        options.batcher = pipeline::BatcherKind::Continuous;
         options.maxBatch = 4;
         options.batchWaitUs = 200.0;
         pipeline::runServeLoop(
@@ -795,7 +785,7 @@ TEST(ContinuousBatcher, BatchCompositionIsDeterministicForAFixedSeed)
     EXPECT_EQ(a, b);
 }
 
-TEST(ContinuousBatcher, NeverExceedsMaxBatchAndServesEveryRequest)
+TEST(BatchWait, NeverExceedsMaxBatchAndServesEveryRequest)
 {
     const int total = 23;
     BatchLog log;
@@ -803,7 +793,6 @@ TEST(ContinuousBatcher, NeverExceedsMaxBatchAndServesEveryRequest)
     options.arrival = ArrivalKind::Fixed;
     options.rateRps = 1e6;
     options.inflight = 2;
-    options.batcher = pipeline::BatcherKind::Continuous;
     options.maxBatch = 3;
     options.batchWaitUs = 500.0;
     const ServeLoopResult result = pipeline::runServeLoop(
@@ -825,18 +814,17 @@ TEST(ContinuousBatcher, NeverExceedsMaxBatchAndServesEveryRequest)
         EXPECT_EQ(served[static_cast<size_t>(i)], i); // each exactly once
 }
 
-TEST(ContinuousBatcher, BatchWaitHoldsUnderFilledBatches)
+TEST(BatchWait, HoldsUnderFilledBatches)
 {
-    // Arrivals 200 us apart against a near-instant single slot. The
-    // static batcher never finds a backlog (every call serves 1); the
-    // continuous batcher holds each under-filled batch up to 20 ms, so
-    // it must form multi-request batches — fewer calls than requests.
+    // Arrivals 200 us apart against a near-instant single slot.
+    // Without a wait the dispatcher never finds a backlog (every call
+    // serves 1); a 20 ms wait holds each under-filled batch, so it must
+    // form multi-request batches — fewer calls than requests.
     const int total = 16;
     ServeLoopOptions options;
     options.arrival = ArrivalKind::Fixed;
     options.rateRps = 5000.0;
     options.inflight = 1;
-    options.batcher = pipeline::BatcherKind::Continuous;
     options.maxBatch = 4;
     options.batchWaitUs = 20000.0;
     const ServeLoopResult result = pipeline::runServeLoop(

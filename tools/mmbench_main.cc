@@ -13,8 +13,7 @@
  *               [--sched sequential|parallel]
  *               [--inflight N] [--requests N]
  *               [--arrival closed|poisson|fixed] [--rate R]
- *               [--batcher static|continuous] [--max-batch N]
- *               [--batch-wait-us U] [--classes SPEC] [--pipeline on|off]
+ *               [--max-batch N] [--batch-wait-us U] [--classes SPEC]
  *               [--faults SPEC] [--queue-cap N] [--deadline-ms D]
  *               [--retries N] [--shed on|off]
  *               [--json PATH|-] [--csv PATH] [--quiet]
@@ -82,23 +81,16 @@ usage(FILE *to)
         "                          poisson / fixed arrivals\n"
         "       --rate R[,R...]    open loop: offered requests/second "
         "sweep\n"
-        "       --batcher KIND     open loop: static (default) "
-        "dispatches\n"
-        "                          whatever already arrived; continuous "
-        "holds\n"
-        "                          under-filled batches for late "
-        "arrivals\n"
         "       --max-batch N      open loop: serve up to N queued\n"
         "                          requests as one batch (default 1)\n"
-        "       --batch-wait-us U  continuous batcher: hold an "
-        "under-filled\n"
-        "                          batch up to U us (default 0)\n"
+        "       --batch-wait-us U  open loop: hold an under-filled "
+        "batch\n"
+        "                          up to U us for late arrivals "
+        "(default 0)\n"
         "       --classes SPEC     open loop: SLO request classes, "
         "e.g.\n"
         "                          'interactive:share=1:prio=1:"
         "deadline_ms=50;batch:share=3'\n"
-        "       --pipeline on|off  serve mode: overlap requests across\n"
-        "                          pipeline stages (default off)\n"
         "       --faults SPEC      serve mode: deterministic fault "
         "injection,\n"
         "                          e.g. 'slow:node=encoder:*:p=0.05:x=4;"
@@ -118,6 +110,10 @@ usage(FILE *to)
         "       --shed on|off      serve mode: load shedding + "
         "degradation\n"
         "                          under deadline pressure (default on)\n"
+        "       --pipeline on|off, --batcher static|continuous\n"
+        "                          deprecated: accepted with a warning "
+        "and\n"
+        "                          ignored\n"
         "       --json PATH        append JSON Lines results ('-' = "
         "stdout)\n"
         "       --csv PATH         write CSV results\n"
