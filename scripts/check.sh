@@ -119,6 +119,32 @@ done
 # CI smoke run of the unified runner: one tiny RunSpec per registered
 # workload through the JSON sink, plus a registry/CLI sanity check.
 "$BUILD_DIR/mmbench" list > /dev/null
+
+# CLI flag checks. `mmbench help` prints its spec-flag block from the
+# RunSpec flag table, so every flag is listed. A value outside the
+# field it fills exits 2 and names its flag: --max-batch 4294967296
+# once wrapped to 0 in an int and aborted in the serve loop (exit
+# 134), and --scale inf ran and recorded a null scale.
+help_text=$("$BUILD_DIR/mmbench" help)
+for flag in --dtype --autotune --perfdb; do
+    if ! grep -q -- "$flag " <<< "$help_text"; then
+        echo "mmbench help does not list $flag" >&2
+        exit 1
+    fi
+done
+expect_flag_error() {
+    local flag=$1 rc=0 err
+    shift
+    err=$("$BUILD_DIR/mmbench" run "$@" --quiet 2>&1 > /dev/null) || rc=$?
+    if [[ $rc -ne 2 || $err != *"$flag"* ]]; then
+        echo "mmbench run $*: exit $rc (want 2 naming $flag): $err" >&2
+        exit 1
+    fi
+}
+expect_flag_error --max-batch --workload av-mnist --mode serve \
+    --max-batch 4294967296
+expect_flag_error --scale --workload av-mnist --scale inf
+echo "CLI flag checks OK"
 "$BUILD_DIR/mmbench" run --smoke --quiet \
     --json "$BUILD_DIR/BENCH_smoke.jsonl" \
     --csv "$BUILD_DIR/BENCH_smoke.csv"

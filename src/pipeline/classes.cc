@@ -1,5 +1,8 @@
 #include "pipeline/classes.hh"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 
 #include "core/logging.hh"
@@ -27,7 +30,8 @@ parsePositive(const std::string &text, double *out)
         return false;
     char *end = nullptr;
     const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size() || !(v > 0.0))
+    if (end != text.c_str() + text.size() || !(v > 0.0) ||
+        !std::isfinite(v))
         return false;
     *out = v;
     return true;
@@ -38,9 +42,11 @@ parseIntField(const std::string &text, int *out)
 {
     if (text.empty())
         return false;
+    errno = 0;
     char *end = nullptr;
     const long v = std::strtol(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
+    if (end != text.c_str() + text.size() || errno == ERANGE ||
+        v < INT_MIN || v > INT_MAX)
         return false;
     *out = static_cast<int>(v);
     return true;

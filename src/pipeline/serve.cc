@@ -67,34 +67,49 @@ std::string
 validateServeOptions(int total, const ServeLoopOptions &options)
 {
     if (total < 0)
-        return "request count must be >= 0";
+        return "--requests must be >= 0";
     if (options.inflight < 1)
-        return "inflight must be >= 1";
+        return "--inflight must be >= 1";
     if (options.maxBatch < 1)
-        return "max-batch must be >= 1";
+        return "--max-batch must be >= 1";
     if (options.batchWaitUs < 0.0)
-        return "batch-wait-us must be >= 0";
+        return "--batch-wait-us must be >= 0";
     if (options.queueCap < 0)
-        return "queue-cap must be >= 0";
+        return "--queue-cap must be >= 0";
     if (options.deadlineUs < 0.0)
-        return "deadline must be >= 0";
+        return "--deadline-ms must be >= 0";
     if (isOpenLoop(options.arrival)) {
         if (!(options.rateRps > 0.0))
-            return "open-loop arrivals need a rate > 0";
-    } else {
-        if (options.maxBatch != 1)
-            return "closed-loop serving cannot coalesce (no queue to "
-                   "batch from)";
-        if (options.batchWaitUs > 0.0)
-            return "batch-wait-us holds an open-loop batch (closed loop "
-                   "has no queue to wait on)";
-        if (options.classes != nullptr && !options.classes->empty())
-            return "request classes require open-loop arrivals "
-                   "(priority dequeue needs a queue)";
-        if (options.queueCap > 0)
-            return "queue-cap applies to open-loop arrivals only "
-                   "(closed loop has no queue)";
+            return strfmt("--arrival %s needs an offered rate: pass "
+                          "--rate R (requests/second, > 0)",
+                          arrivalKindName(options.arrival));
+        // The hold only runs while a batch is below maxBatch.
+        if (options.batchWaitUs > 0.0 && options.maxBatch == 1)
+            return "--batch-wait-us holds an under-filled batch, but at "
+                   "--max-batch 1 every batch is full; pass --max-batch "
+                   "N > 1";
+        return "";
     }
+    // A closed loop has no queue to batch from, hold, prioritize or
+    // bound, and no arrival schedule for a rate to set; a rate would
+    // still be recorded, fabricating a flat rate-vs-latency curve.
+    const char *open_loop = "; add --arrival poisson or --arrival fixed";
+    if (options.maxBatch > 1)
+        return std::string("--max-batch batches queued requests, which "
+                           "only exist under open-loop arrivals") +
+               open_loop;
+    if (options.batchWaitUs > 0.0)
+        return std::string("--batch-wait-us holds an under-filled "
+                           "open-loop batch") + open_loop;
+    if (options.classes != nullptr && !options.classes->empty())
+        return std::string("--classes schedules the open-loop admission "
+                           "queue") + open_loop;
+    if (options.rateRps > 0.0)
+        return std::string("--rate sets the open-loop offered rate, which "
+                           "a closed loop ignores") + open_loop;
+    if (options.queueCap > 0)
+        return std::string("--queue-cap bounds the open-loop admission "
+                           "queue, which a closed loop lacks") + open_loop;
     return "";
 }
 

@@ -109,9 +109,10 @@ struct ServeLoopOptions
      */
     int maxBatch = 1;
     /**
-     * Open loop only: how long an under-filled batch may wait (from
-     * formation start) for further same-class arrivals before
-     * dispatching anyway. 0 = dispatch whatever the backlog holds.
+     * Open loop with maxBatch > 1 only: how long an under-filled
+     * batch may wait (from formation start) for further same-class
+     * arrivals before dispatching anyway. 0 = dispatch whatever the
+     * backlog holds.
      */
     double batchWaitUs = 0.0;
     /**
@@ -218,9 +219,11 @@ using ServiceFn = std::function<ServiceResult(const ServiceCall &)>;
 
 /**
  * Reject invalid load-generation parameters: returns an empty string
- * when (total, options) describe a runnable stream, else a
- * human-readable reason. runServeLoop asserts this; RunSpec parsing
- * surfaces it as a CLI error before any model is built.
+ * when (total, options) describe a runnable stream, else a reason
+ * that names the mmbench flags involved. runServeLoop asserts this;
+ * runner::validateRunSpec applies it to the options a RunSpec maps
+ * to, so RunSpec parsing reports it as a CLI error before any model
+ * is built.
  */
 std::string validateServeOptions(int total,
                                  const ServeLoopOptions &options);

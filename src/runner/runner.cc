@@ -371,11 +371,11 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
 
     // Each request runs its graph sequentially — the pool is spent on
     // request-level concurrency, and nested parallelFor would degrade
-    // to that anyway (parseRunSpec rejects serve + parallel up
-    // front; this keeps programmatic specs honest too). Per-request
-    // trace capture stays off on the serve hot path: nothing consumes
-    // node traces here, and capturing would allocate a RecordingSink
-    // per node per request (test_pipeline pins this stays empty).
+    // to that anyway (validateRunSpec rejects serve + parallel).
+    // Per-request trace capture stays off on the serve hot path:
+    // nothing consumes node traces here, and capturing would allocate
+    // a RecordingSink per node per request (test_pipeline pins this
+    // stays empty).
     pipeline::ScheduleOptions options;
     options.policy = pipeline::SchedPolicy::Sequential;
     options.captureTraces = false;
@@ -388,21 +388,8 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
     // Clamp to the effective thread count so a --threads limit also
     // bounds serving concurrency (a --threads sweep in serve mode
     // must measure what it labels).
-    const int inflight =
-        std::min(std::max(1, spec.inflight), core::numThreads());
-
-    pipeline::ServeLoopOptions loop;
-    loop.arrival = spec.arrival;
-    loop.rateRps = spec.rateRps;
-    loop.seed = spec.seed;
-    loop.inflight = inflight;
-    loop.maxBatch = spec.maxBatch;
-    loop.batchWaitUs = static_cast<double>(spec.batchWaitUs);
-    if (!class_plan.empty())
-        loop.classes = &class_plan;
-    loop.queueCap = spec.queueCap;
-    loop.deadlineUs = spec.deadlineMs * 1000.0;
-    loop.shedding = spec.shed;
+    pipeline::ServeLoopOptions loop = serveLoopOptions(spec, &class_plan);
+    loop.inflight = std::min(loop.inflight, core::numThreads());
 
     // A request whose mask covers every modality has no live input:
     // it fails rather than answer from zero-imputed inputs alone.
@@ -530,7 +517,7 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
             static_cast<double>(stream.ok + stream.degraded) * 1e6 /
             wall;
     }
-    result->serve.inflight = inflight;
+    result->serve.inflight = loop.inflight;
     result->serve.requests = total;
     result->serve.wallUs = wall;
     result->serve.arrival = pipeline::arrivalKindName(spec.arrival);
@@ -607,6 +594,9 @@ runServe(const RunSpec &spec, models::MultiModalWorkload &workload,
 RunResult
 runOne(const RunSpec &spec)
 {
+    const std::string invalid = validateRunSpec(spec);
+    if (!invalid.empty())
+        MM_FATAL("invalid RunSpec: %s", invalid.c_str());
     const models::WorkloadEntry *entry =
         models::WorkloadRegistry::instance().find(spec.workload);
     if (!entry)

@@ -34,8 +34,8 @@ data::Batch coalesceBatches(const std::vector<data::Batch> &batches,
                             bool include_targets);
 
 /**
- * Execute one spec. Fatal on unknown workload/device names (callers
- * validate through parseRunSpec first).
+ * Execute one spec. Fatal when validateRunSpec rejects it (the
+ * parser applies the same checks) or on an unknown workload/device.
  *
  * Infer mode: `warmup` untimed + `repeat` timed profiled passes over
  * one batch, executed through the workload's stage graph under the

@@ -2,7 +2,10 @@
 
 #include <sys/stat.h>
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "core/logging.hh"
 #include "core/string_utils.hh"
@@ -85,156 +88,389 @@ isKnownDevice(const std::string &name)
     return findDevice(name) != nullptr;
 }
 
-std::vector<std::string>
-RunSpec::toArgs() const
+namespace {
+
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+
+/**
+ * Store a whole decimal integer in [lo, hi] into *field. hi never
+ * exceeds what the field holds, so no value wraps on the way in.
+ */
+template <typename T>
+std::string
+setInt(const char *flag, const std::string &text, int64_t lo, int64_t hi,
+       T *field)
 {
-    std::vector<std::string> args = {
-        "--workload", workload,
+    errno = 0;
+    char *end = nullptr;
+    const long long v = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || errno == ERANGE ||
+        end != text.c_str() + text.size() || v < lo || v > hi)
+        return strfmt("%s expects an integer in [%lld, %lld], got '%s'",
+                      flag, static_cast<long long>(lo),
+                      static_cast<long long>(hi), text.c_str());
+    *field = static_cast<T>(v);
+    return "";
+}
+
+/**
+ * Store a number into *field: > 0 when `positive`, else >= 0, and
+ * finite once stored as T.
+ */
+template <typename T>
+std::string
+setNumber(const char *flag, const std::string &text, bool positive,
+          T *field)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size() ||
+        !(std::fabs(v) <= std::numeric_limits<T>::max()) ||
+        !(positive ? static_cast<T>(v) > 0 : v >= 0.0))
+        return strfmt("%s expects a finite number %s 0, got '%s'", flag,
+                      positive ? ">" : ">=", text.c_str());
+    *field = static_cast<T>(v);
+    return "";
+}
+
+/** on/true/1 or off/false/0, in any case. */
+bool
+parseOnOff(const std::string &text, bool *out)
+{
+    const std::string t = toLower(text);
+    const bool on = t == "on" || t == "true" || t == "1";
+    if (!on && t != "off" && t != "false" && t != "0")
+        return false;
+    *out = on;
+    return true;
+}
+
+} // namespace
+
+const std::vector<SpecFlag> &
+specFlags()
+{
+    // One row per flag. Setters check only their own value; checks
+    // that span flags live in validateRunSpec, so flag order never
+    // decides whether a spec parses.
+    static const std::vector<SpecFlag> kFlags = {
+        {"--workload", "NAME", "registered workload (required unless "
+         "--smoke)", false,
+         [](const char *, const std::string &v, RunSpec *s) {
+             s->workload = toLower(v);
+             return std::string();
+         }},
+        {"--fusion", "KIND", "modality fusion kind (default: the "
+         "workload's), or on|off: fused solver kernels", false,
+         [](const char *, const std::string &v, RunSpec *s) -> std::string {
+             // Overloaded: on/off toggles kernel fusion (the solver
+             // registry's fused Linear/Conv/norm+act path); any other
+             // value names a modality-fusion implementation.
+             const std::string f = toLower(v);
+             if (f == "on" || f == "off") {
+                 s->fuseKernels = f == "on";
+             } else if (fusion::tryParseFusionKind(v, &s->fusionKind)) {
+                 s->hasFusion = true;
+             } else {
+                 return strfmt("unknown fusion '%s' (expected on/off for "
+                               "kernel fusion, or a modality fusion kind: "
+                               "zero, sum, concat, tensor, attention, "
+                               "linearglu, transformer, late_lstm)",
+                               v.c_str());
+             }
+             return "";
+         }},
+        {"--autotune", "MODE", "off (default), on or force: time fused-"
+         "kernel candidates (needs --fusion on)", false,
+         [](const char *, const std::string &v, RunSpec *s) -> std::string {
+             if (solver::tryParseAutotuneMode(v, &s->autotune))
+                 return "";
+             return strfmt("unknown --autotune value '%s' (expected off, "
+                           "on or force)", v.c_str());
+         }},
+        {"--perfdb", "PATH", "autotune cache (default: $MMBENCH_PERFDB "
+         "or mmbench_perfdb.json)", false,
+         [](const char *, const std::string &v, RunSpec *s) -> std::string {
+             if (v.empty())
+                 return "--perfdb expects a file path";
+             s->perfdb = v;
+             return "";
+         }},
+        {"--mode", "MODE", "infer (default), train or serve", false,
+         [](const char *, const std::string &v, RunSpec *s) -> std::string {
+             const std::string name = toLower(v);
+             for (RunMode m : {RunMode::Infer, RunMode::Train,
+                               RunMode::Serve}) {
+                 if (name == runModeName(m)) {
+                     s->mode = m;
+                     return "";
+                 }
+             }
+             return strfmt("unknown mode '%s' (expected infer, train or "
+                           "serve)", v.c_str());
+         }},
+        {"--batch", "N[,N...]", "batch size sweep (default 8)", true,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setInt(f, v, 1, kInt64Max, &s->batch);
+         }},
+        {"--threads", "N[,N...]", "worker-thread sweep (default 0 = the "
+         "pool's)", true,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setInt(f, v, 0, kIntMax, &s->threads);
+         }},
+        {"--scale", "F[,F...]", "size-scale sweep (default 1.0)", true,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setNumber(f, v, true, &s->sizeScale);
+         }},
+        {"--seed", "N", "weights/data seed (default 42)", false,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             // The result record stores the seed as an int64.
+             return setInt(f, v, 0, kInt64Max, &s->seed);
+         }},
+        {"--warmup", "N", "untimed repetitions (default 1)", false,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setInt(f, v, 0, kIntMax, &s->warmup);
+         }},
+        {"--repeat", "N", "timed repetitions (default 5)", false,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setInt(f, v, 1, kIntMax, &s->repeat);
+         }},
+        {"--device", "NAME", "simulated device: 2080ti (default), nano, "
+         "orin", false,
+         [](const char *, const std::string &v, RunSpec *s) -> std::string {
+             if (!isKnownDevice(v))
+                 return strfmt("unknown device '%s' (known: %s)", v.c_str(),
+                               knownDeviceNames().c_str());
+             s->device = toLower(v);
+             return "";
+         }},
+        {"--sched", "POLICY", "stage-graph scheduler: sequential (default) "
+         "or parallel", false,
+         [](const char *, const std::string &v, RunSpec *s) -> std::string {
+             if (pipeline::tryParseSchedPolicy(v, &s->sched))
+                 return "";
+             return strfmt("unknown scheduler policy '%s' (expected "
+                           "sequential or parallel)", v.c_str());
+         }},
+        {"--inflight", "N", "serve mode: concurrent requests (default 4)",
+         false,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             // serveRequests() defaults to 8x inflight, an int too.
+             return setInt(f, v, 1, kIntMax / 8, &s->inflight);
+         }},
+        {"--requests", "N", "serve mode: total requests (default 0 = 8x "
+         "inflight)", false,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setInt(f, v, 0, kIntMax, &s->requests);
+         }},
+        {"--arrival", "KIND", "serve mode: closed (default), or open-loop "
+         "poisson / fixed", false,
+         [](const char *, const std::string &v, RunSpec *s) -> std::string {
+             if (pipeline::tryParseArrivalKind(v, &s->arrival))
+                 return "";
+             return strfmt("unknown arrival process '%s' (expected closed, "
+                           "poisson or fixed)", v.c_str());
+         }},
+        {"--rate", "R[,R...]", "open loop: offered requests/second sweep",
+         true,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setNumber(f, v, false, &s->rateRps);
+         }},
+        {"--max-batch", "N", "open loop: serve up to N queued requests as "
+         "one batch (default 1)", false,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setInt(f, v, 1, kIntMax, &s->maxBatch);
+         }},
+        {"--batch-wait-us", "U", "open loop: hold an under-filled batch up "
+         "to U us (needs --max-batch > 1)", false,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setInt(f, v, 0, kIntMax, &s->batchWaitUs);
+         }},
+        {"--classes", "SPEC", "open loop: SLO classes, e.g. "
+         "'hi:share=1:prio=1:deadline_ms=50;lo:share=3'", false,
+         [](const char *, const std::string &v, RunSpec *s) {
+             s->classes = v;
+             return std::string();
+         }},
+        {"--faults", "SPEC", "serve mode: fault injection, e.g. "
+         "'slow:node=encoder:*:p=0.05:x=4;fail:node=fusion:p=0.01'", false,
+         [](const char *, const std::string &v, RunSpec *s) {
+             s->faults = v;
+             return std::string();
+         }},
+        {"--queue-cap", "N", "open loop: shed the oldest arrivals beyond N "
+         "queued (default 0 = none)", false,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setInt(f, v, 0, kIntMax, &s->queueCap);
+         }},
+        {"--deadline-ms", "D", "serve mode: per-request deadline (default "
+         "0 = none)", false,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setNumber(f, v, false, &s->deadlineMs);
+         }},
+        {"--retries", "N", "serve mode: retries after an injected failure "
+         "(default 0)", false,
+         [](const char *f, const std::string &v, RunSpec *s) {
+             return setInt(f, v, 0, kIntMax, &s->retries);
+         }},
+        {"--shed", "on|off", "serve mode: shed and degrade under deadline "
+         "pressure (default on)", false,
+         [](const char *f, const std::string &v, RunSpec *s) -> std::string {
+             if (parseOnOff(v, &s->shed))
+                 return "";
+             return strfmt("%s expects on or off, got '%s'", f, v.c_str());
+         }},
+        {"--dtype", "T[,T...]", "compute dtype sweep: f32 (default), bf16, "
+         "f16, i8", true,
+         [](const char *, const std::string &v, RunSpec *s) -> std::string {
+             if (tensor::tryParseDType(v, &s->dtype))
+                 return "";
+             return strfmt("unknown --dtype '%s' (expected f32, bf16, f16 "
+                           "or i8)", v.c_str());
+         }},
+        {"--pipeline", "on|off", "deprecated: accepted with a warning and "
+         "ignored", false,
+         [](const char *f, const std::string &v, RunSpec *) -> std::string {
+             bool ignored = false;
+             if (!parseOnOff(v, &ignored))
+                 return strfmt("%s expects on or off, got '%s'", f,
+                               v.c_str());
+             warn("--pipeline is deprecated and ignored: every serve "
+                  "slot runs its request's graph itself");
+             return "";
+         }},
+        {"--batcher", "KIND", "deprecated: accepted with a warning and "
+         "ignored", false,
+         [](const char *, const std::string &v, RunSpec *) -> std::string {
+             const std::string b = toLower(v);
+             if (b != "static" && b != "continuous")
+                 return strfmt("unknown --batcher value '%s' (expected "
+                               "static or continuous)", v.c_str());
+             warn("--batcher is deprecated and ignored: --max-batch N "
+                  "batches, --batch-wait-us U holds an under-filled "
+                  "batch");
+             return "";
+         }},
     };
-    if (hasFusion) {
-        args.push_back("--fusion");
-        args.push_back(fusion::fusionKindName(fusionKind));
-    }
-    args.push_back("--mode");
-    args.push_back(runModeName(mode));
-    args.push_back("--batch");
-    args.push_back(strfmt("%lld", static_cast<long long>(batch)));
-    args.push_back("--threads");
-    args.push_back(strfmt("%d", threads));
-    args.push_back("--scale");
-    args.push_back(strfmt("%g", static_cast<double>(sizeScale)));
-    args.push_back("--seed");
-    args.push_back(strfmt("%llu", static_cast<unsigned long long>(seed)));
-    args.push_back("--warmup");
-    args.push_back(strfmt("%d", warmup));
-    args.push_back("--repeat");
-    args.push_back(strfmt("%d", repeat));
-    args.push_back("--device");
-    args.push_back(device);
-    args.push_back("--sched");
-    args.push_back(pipeline::schedPolicyName(sched));
-    args.push_back("--inflight");
-    args.push_back(strfmt("%d", inflight));
-    args.push_back("--requests");
-    args.push_back(strfmt("%d", requests));
-    args.push_back("--arrival");
-    args.push_back(pipeline::arrivalKindName(arrival));
-    args.push_back("--rate");
-    args.push_back(strfmt("%.17g", rateRps));
-    args.push_back("--max-batch");
-    args.push_back(strfmt("%d", maxBatch));
-    if (batchWaitUs > 0) {
-        args.push_back("--batch-wait-us");
-        args.push_back(strfmt("%d", batchWaitUs));
-    }
-    if (!classes.empty()) {
-        args.push_back("--classes");
-        args.push_back(classes);
-    }
-    if (!faults.empty()) {
-        args.push_back("--faults");
-        args.push_back(faults);
-    }
-    args.push_back("--queue-cap");
-    args.push_back(strfmt("%d", queueCap));
-    args.push_back("--deadline-ms");
-    args.push_back(strfmt("%.17g", deadlineMs));
-    args.push_back("--retries");
-    args.push_back(strfmt("%d", retries));
-    args.push_back("--shed");
-    args.push_back(shed ? "on" : "off");
-    if (fuseKernels) {
-        // Emitted after the modality-fusion kind (if any): the parser
-        // folds "on"/"off" into fuseKernels and any other value into
-        // fusionKind, so both survive the round trip.
-        args.push_back("--fusion");
-        args.push_back("on");
-    }
-    if (autotune != solver::AutotuneMode::Off) {
-        args.push_back("--autotune");
-        args.push_back(solver::autotuneModeName(autotune));
-    }
-    if (!perfdb.empty()) {
-        args.push_back("--perfdb");
-        args.push_back(perfdb);
-    }
-    if (dtype != tensor::DType::F32) {
-        args.push_back("--dtype");
-        args.push_back(tensor::dtypeName(dtype));
-    }
-    return args;
+    return kFlags;
+}
+
+pipeline::ServeLoopOptions
+serveLoopOptions(const RunSpec &spec, const pipeline::ClassPlan *classes)
+{
+    pipeline::ServeLoopOptions loop;
+    loop.arrival = spec.arrival;
+    loop.rateRps = spec.rateRps;
+    loop.seed = spec.seed;
+    loop.inflight = spec.inflight;
+    loop.maxBatch = spec.maxBatch;
+    loop.batchWaitUs = static_cast<double>(spec.batchWaitUs);
+    loop.classes = classes;
+    loop.queueCap = spec.queueCap;
+    loop.deadlineUs = spec.deadlineMs * 1000.0;
+    loop.shedding = spec.shed;
+    return loop;
 }
 
 std::string
-RunSpec::toString() const
+validateRunSpec(const RunSpec &spec)
 {
-    std::string text = strfmt(
-        "%s fusion=%s mode=%s batch=%lld threads=%d scale=%g seed=%llu "
-        "warmup=%d repeat=%d device=%s sched=%s inflight=%d requests=%d "
-        "arrival=%s rate=%g max_batch=%d faults=%s "
-        "queue_cap=%d deadline_ms=%g retries=%d shed=%s",
-        workload.c_str(),
-        hasFusion ? fusion::fusionKindName(fusionKind) : "default",
-        runModeName(mode), static_cast<long long>(batch), threads,
-        static_cast<double>(sizeScale),
-        static_cast<unsigned long long>(seed), warmup, repeat,
-        device.c_str(), pipeline::schedPolicyName(sched), inflight,
-        requests, pipeline::arrivalKindName(arrival), rateRps, maxBatch,
-        faults.empty() ? "none" : faults.c_str(), queueCap,
-        deadlineMs, retries, shed ? "on" : "off");
-    if (batchWaitUs > 0)
-        text += strfmt(" batch_wait_us=%d", batchWaitUs);
-    if (!classes.empty())
-        text += strfmt(" classes=%s", classes.c_str());
-    if (fuseKernels)
-        text += strfmt(" fuse_kernels=on autotune=%s",
-                       solver::autotuneModeName(autotune));
-    if (!perfdb.empty())
-        text += strfmt(" perfdb=%s", perfdb.c_str());
-    if (dtype != tensor::DType::F32)
-        text += strfmt(" dtype=%s", tensor::dtypeName(dtype));
-    return text;
+    const bool serve = spec.mode == RunMode::Serve;
+    if (serve && spec.sched == pipeline::SchedPolicy::Parallel) {
+        // Serve requests already occupy the worker pool, so the
+        // intra-request parallel policy always degrades to sequential
+        // there; reject the combination instead of emitting records
+        // labeled with a policy that never ran.
+        return "--sched parallel has no effect in serve mode (in-flight "
+               "requests already occupy the worker pool); use the "
+               "default sequential";
+    }
+    if (!serve && pipeline::isOpenLoop(spec.arrival))
+        return strfmt("--arrival %s only applies to --mode serve",
+                      pipeline::arrivalKindName(spec.arrival));
+    pipeline::ClassPlan classes;
+    std::string detail;
+    if (!spec.classes.empty() &&
+        !pipeline::parseClassPlan(spec.classes, &classes, &detail))
+        return "--classes: " + detail;
+    // Outside serve mode the loop is closed, so the open-loop flags
+    // are rejected there as well.
+    const std::string loop_error = pipeline::validateServeOptions(
+        spec.serveRequests(), serveLoopOptions(spec, &classes));
+    if (!loop_error.empty())
+        return loop_error;
+    if (!serve) {
+        // Fault-tolerance flags are serve-mode features; rejecting them
+        // elsewhere keeps every emitted record honest about what ran.
+        if (!spec.faults.empty())
+            return "--faults injects into serve-mode requests; add "
+                   "--mode serve";
+        if (spec.deadlineMs > 0.0)
+            return "--deadline-ms sets a serve-mode request deadline; "
+                   "add --mode serve";
+        if (spec.retries > 0)
+            return "--retries is the serve-mode retry budget; add --mode "
+                   "serve";
+        if (!spec.shed)
+            return "--shed off disables serve-mode load shedding; add "
+                   "--mode serve";
+    }
+    // Autotuning and the perf-db only exist on the fused path.
+    if (!spec.fuseKernels && spec.autotune != solver::AutotuneMode::Off)
+        return strfmt("--autotune %s searches over fused-kernel solvers; "
+                      "add --fusion on",
+                      solver::autotuneModeName(spec.autotune));
+    if (!spec.fuseKernels && !spec.perfdb.empty())
+        return "--perfdb names the fused-kernel autotuning cache; add "
+               "--fusion on";
+    if (spec.mode == RunMode::Train &&
+        (spec.dtype == tensor::DType::I8 ||
+         spec.dtype == tensor::DType::F16)) {
+        // i8/f16 have no backward kernels and no master-weight story.
+        // bf16 is allowed: training keeps f32 master weights and only
+        // the eval passes reduce.
+        return strfmt("--dtype %s is inference-only; use --mode "
+                      "infer/serve, or --dtype bf16 (f32 master weights) "
+                      "for reduced-precision training",
+                      tensor::dtypeName(spec.dtype));
+    }
+    if (spec.autotune == solver::AutotuneMode::Force) {
+        // Force always re-searches and re-writes the perf-db, so an
+        // unwritable existing db can only end in lost results.
+        // Permission bits via stat(), not access(): access(W_OK) is
+        // always 0 for root.
+        const std::string path = solver::resolvePerfDbPath(spec.perfdb);
+        struct stat st;
+        if (::stat(path.c_str(), &st) == 0 &&
+            (st.st_mode & (S_IWUSR | S_IWGRP | S_IWOTH)) == 0)
+            return strfmt("--autotune force must rewrite the perf-db, but "
+                          "'%s' is read-only; make it writable or pass "
+                          "--perfdb with a writable path", path.c_str());
+    }
+    pipeline::FaultPlan faults;
+    if (!spec.faults.empty() &&
+        !pipeline::parseFaultPlan(spec.faults, spec.seed, &faults, &detail))
+        return "--faults: " + detail;
+    if (!spec.workload.empty() &&
+        !models::WorkloadRegistry::instance().find(spec.workload))
+        return strfmt(
+            "unknown workload '%s' (known: %s)", spec.workload.c_str(),
+            join(models::WorkloadRegistry::instance().names(), ", ")
+                .c_str());
+    return "";
 }
 
 namespace {
 
-bool
-parseInt64(const std::string &text, int64_t *out)
+const SpecFlag *
+findFlag(const std::string &name)
 {
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
-        return false;
-    *out = v;
-    return true;
-}
-
-bool
-parseFloat(const std::string &text, float *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size())
-        return false;
-    *out = static_cast<float>(v);
-    return true;
-}
-
-bool
-parseDouble(const std::string &text, double *out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size())
-        return false;
-    *out = v;
-    return true;
+    for (const SpecFlag &flag : specFlags()) {
+        if (name == flag.name)
+            return &flag;
+    }
+    return nullptr;
 }
 
 /** The flag grammar shared by spec and template parsing. */
@@ -242,419 +478,20 @@ bool
 parseSpecFlags(const std::vector<std::string> &args, RunSpec *spec,
                std::string *error)
 {
-    error->clear();
-    for (size_t i = 0; i < args.size(); ++i) {
-        const std::string &flag = args[i];
-        if (i + 1 >= args.size()) {
+    for (size_t i = 0; i < args.size(); i += 2) {
+        const SpecFlag *flag = findFlag(args[i]);
+        if (i + 1 >= args.size())
             *error = strfmt("flag '%s' is missing its value",
-                            flag.c_str());
+                            args[i].c_str());
+        else if (!flag)
+            *error = strfmt("unknown flag '%s'", args[i].c_str());
+        else
+            *error = flag->set(flag->name, args[i + 1], spec);
+        if (!error->empty())
             return false;
-        }
-        const std::string &value = args[++i];
-        if (flag == "--workload") {
-            spec->workload = toLower(value);
-        } else if (flag == "--fusion") {
-            // Overloaded: "on"/"off" toggle kernel fusion (the solver
-            // registry's fused Linear/Conv/norm+act path); any other
-            // value names a modality-fusion implementation.
-            const std::string f = toLower(value);
-            fusion::FusionKind kind;
-            if (f == "on") {
-                spec->fuseKernels = true;
-            } else if (f == "off") {
-                spec->fuseKernels = false;
-            } else if (fusion::tryParseFusionKind(value, &kind)) {
-                spec->hasFusion = true;
-                spec->fusionKind = kind;
-            } else {
-                *error = strfmt(
-                    "unknown fusion '%s' (expected on/off for kernel "
-                    "fusion, or a modality fusion kind: zero, sum, "
-                    "concat, tensor, attention, linearglu, "
-                    "transformer, late_lstm)",
-                    value.c_str());
-                return false;
-            }
-        } else if (flag == "--autotune") {
-            solver::AutotuneMode mode;
-            if (!solver::tryParseAutotuneMode(value, &mode)) {
-                *error = strfmt("unknown --autotune value '%s' "
-                                "(expected off, on or force)",
-                                value.c_str());
-                return false;
-            }
-            spec->autotune = mode;
-        } else if (flag == "--perfdb") {
-            if (value.empty()) {
-                *error = "--perfdb expects a file path";
-                return false;
-            }
-            spec->perfdb = value;
-        } else if (flag == "--dtype") {
-            tensor::DType dt;
-            if (!tensor::tryParseDType(value, &dt)) {
-                *error = strfmt("unknown --dtype '%s' (expected f32, "
-                                "bf16, f16 or i8)", value.c_str());
-                return false;
-            }
-            spec->dtype = dt;
-        } else if (flag == "--mode") {
-            const std::string m = toLower(value);
-            if (m == "infer") {
-                spec->mode = RunMode::Infer;
-            } else if (m == "train") {
-                spec->mode = RunMode::Train;
-            } else if (m == "serve") {
-                spec->mode = RunMode::Serve;
-            } else {
-                *error = strfmt(
-                    "unknown mode '%s' (expected infer, train or serve)",
-                    value.c_str());
-                return false;
-            }
-        } else if (flag == "--batch") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v <= 0) {
-                *error = strfmt("--batch expects a positive integer, "
-                                "got '%s'", value.c_str());
-                return false;
-            }
-            spec->batch = v;
-        } else if (flag == "--threads") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v < 0) {
-                *error = strfmt("--threads expects a non-negative "
-                                "integer, got '%s'", value.c_str());
-                return false;
-            }
-            spec->threads = static_cast<int>(v);
-        } else if (flag == "--scale") {
-            float v;
-            if (!parseFloat(value, &v) || !(v > 0.0f)) {
-                *error = strfmt("--scale expects a positive number, "
-                                "got '%s'", value.c_str());
-                return false;
-            }
-            spec->sizeScale = v;
-        } else if (flag == "--seed") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v < 0) {
-                *error = strfmt("--seed expects a non-negative integer, "
-                                "got '%s'", value.c_str());
-                return false;
-            }
-            spec->seed = static_cast<uint64_t>(v);
-        } else if (flag == "--warmup") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v < 0) {
-                *error = strfmt("--warmup expects a non-negative "
-                                "integer, got '%s'", value.c_str());
-                return false;
-            }
-            spec->warmup = static_cast<int>(v);
-        } else if (flag == "--repeat") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v <= 0) {
-                *error = strfmt("--repeat expects a positive integer, "
-                                "got '%s'", value.c_str());
-                return false;
-            }
-            spec->repeat = static_cast<int>(v);
-        } else if (flag == "--device") {
-            if (!isKnownDevice(value)) {
-                *error = strfmt("unknown device '%s' (known: %s)",
-                                value.c_str(),
-                                knownDeviceNames().c_str());
-                return false;
-            }
-            spec->device = toLower(value);
-        } else if (flag == "--sched") {
-            pipeline::SchedPolicy policy;
-            if (!pipeline::tryParseSchedPolicy(value, &policy)) {
-                *error = strfmt("unknown scheduler policy '%s' "
-                                "(expected sequential or parallel)",
-                                value.c_str());
-                return false;
-            }
-            spec->sched = policy;
-        } else if (flag == "--inflight") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v <= 0) {
-                *error = strfmt("--inflight expects a positive integer, "
-                                "got '%s'", value.c_str());
-                return false;
-            }
-            spec->inflight = static_cast<int>(v);
-        } else if (flag == "--requests") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v < 0) {
-                *error = strfmt("--requests expects a non-negative "
-                                "integer, got '%s'", value.c_str());
-                return false;
-            }
-            spec->requests = static_cast<int>(v);
-        } else if (flag == "--arrival") {
-            pipeline::ArrivalKind kind;
-            if (!pipeline::tryParseArrivalKind(value, &kind)) {
-                *error = strfmt(
-                    "unknown arrival process '%s' (expected closed, "
-                    "poisson or fixed)", value.c_str());
-                return false;
-            }
-            spec->arrival = kind;
-        } else if (flag == "--rate") {
-            double v;
-            if (!parseDouble(value, &v) || v < 0.0) {
-                *error = strfmt("--rate expects a non-negative number "
-                                "(requests/second), got '%s'",
-                                value.c_str());
-                return false;
-            }
-            spec->rateRps = v;
-        } else if (flag == "--batcher") {
-            const std::string b = toLower(value);
-            if (b != "static" && b != "continuous") {
-                *error = strfmt("unknown --batcher value '%s' "
-                                "(expected static or continuous)",
-                                value.c_str());
-                return false;
-            }
-            warn("--batcher is deprecated and ignored: --max-batch N "
-                 "batches, --batch-wait-us U holds an under-filled "
-                 "batch");
-        } else if (flag == "--max-batch") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v <= 0) {
-                *error = strfmt("--max-batch expects a positive "
-                                "integer, got '%s'", value.c_str());
-                return false;
-            }
-            spec->maxBatch = static_cast<int>(v);
-        } else if (flag == "--batch-wait-us") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v < 0) {
-                *error = strfmt("--batch-wait-us expects a non-negative "
-                                "integer (microseconds), got '%s'",
-                                value.c_str());
-                return false;
-            }
-            spec->batchWaitUs = static_cast<int>(v);
-        } else if (flag == "--classes") {
-            // Grammar-checked after the loop (seed-independent), so
-            // flag order can't change whether a spec parses.
-            spec->classes = value;
-        } else if (flag == "--pipeline") {
-            const std::string p = toLower(value);
-            if (p != "on" && p != "true" && p != "1" && p != "off" &&
-                p != "false" && p != "0") {
-                *error = strfmt("--pipeline expects on or off, got "
-                                "'%s'", value.c_str());
-                return false;
-            }
-            warn("--pipeline is deprecated and ignored: every serve "
-                 "slot runs its request's graph itself");
-        } else if (flag == "--faults") {
-            // Grammar-checked after the loop (seed-independent), so
-            // flag order can't change whether a spec parses.
-            spec->faults = value;
-        } else if (flag == "--queue-cap") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v < 0) {
-                *error = strfmt("--queue-cap expects a non-negative "
-                                "integer (0 = unbounded), got '%s'",
-                                value.c_str());
-                return false;
-            }
-            spec->queueCap = static_cast<int>(v);
-        } else if (flag == "--deadline-ms") {
-            double v;
-            if (!parseDouble(value, &v) || v < 0.0) {
-                *error = strfmt("--deadline-ms expects a non-negative "
-                                "number (0 = no deadline), got '%s'",
-                                value.c_str());
-                return false;
-            }
-            spec->deadlineMs = v;
-        } else if (flag == "--retries") {
-            int64_t v;
-            if (!parseInt64(value, &v) || v < 0) {
-                *error = strfmt("--retries expects a non-negative "
-                                "integer, got '%s'", value.c_str());
-                return false;
-            }
-            spec->retries = static_cast<int>(v);
-        } else if (flag == "--shed") {
-            const std::string s = toLower(value);
-            if (s == "on" || s == "true" || s == "1") {
-                spec->shed = true;
-            } else if (s == "off" || s == "false" || s == "0") {
-                spec->shed = false;
-            } else {
-                *error = strfmt("--shed expects on or off, got '%s'",
-                                value.c_str());
-                return false;
-            }
-        } else {
-            *error = strfmt("unknown flag '%s'", flag.c_str());
-            return false;
-        }
     }
-    if (spec->mode == RunMode::Serve &&
-        spec->sched == pipeline::SchedPolicy::Parallel) {
-        // Serve requests already occupy the worker pool, so the
-        // intra-request parallel policy always degrades to sequential
-        // there; reject the combination instead of emitting records
-        // labeled with a policy that never ran.
-        *error = "--sched parallel has no effect in serve mode "
-                 "(in-flight requests already occupy the worker "
-                 "pool); use the default sequential";
-        return false;
-    }
-    if (pipeline::isOpenLoop(spec->arrival)) {
-        if (spec->mode != RunMode::Serve) {
-            *error = strfmt(
-                "--arrival %s only applies to --mode serve",
-                pipeline::arrivalKindName(spec->arrival));
-            return false;
-        }
-        if (!(spec->rateRps > 0.0)) {
-            *error = strfmt(
-                "--arrival %s needs an offered rate: pass --rate R "
-                "(requests/second, > 0)",
-                pipeline::arrivalKindName(spec->arrival));
-            return false;
-        }
-    } else {
-        if (spec->maxBatch > 1) {
-            *error = "--max-batch batches queued requests, which "
-                     "only exist under open-loop arrivals; add "
-                     "--arrival poisson or --arrival fixed";
-            return false;
-        }
-        if (spec->batchWaitUs > 0) {
-            *error = "--batch-wait-us holds an under-filled open-loop "
-                     "batch; add --arrival poisson or --arrival fixed";
-            return false;
-        }
-        if (!spec->classes.empty()) {
-            *error = "--classes schedules the open-loop admission "
-                     "queue; add --arrival poisson or --arrival fixed";
-            return false;
-        }
-        if (spec->rateRps > 0.0) {
-            // A closed loop has no arrival schedule, so a rate would
-            // be silently ignored — and its record would still carry
-            // spec.rate_rps, fabricating a flat rate-vs-latency curve.
-            *error = "--rate sets the open-loop offered rate, which a "
-                     "closed loop ignores; add --arrival poisson or "
-                     "--arrival fixed";
-            return false;
-        }
-        if (spec->queueCap > 0) {
-            *error = "--queue-cap bounds the open-loop admission "
-                     "queue; a closed loop has no queue — add "
-                     "--arrival poisson or --arrival fixed";
-            return false;
-        }
-    }
-    if (!spec->classes.empty()) {
-        // Grammar check at parse time, same contract as --faults.
-        pipeline::ClassPlan plan;
-        std::string class_error;
-        if (!pipeline::parseClassPlan(spec->classes, &plan,
-                                      &class_error)) {
-            *error = strfmt("--classes: %s", class_error.c_str());
-            return false;
-        }
-    }
-    // Fault-tolerance flags are serve-mode features; rejecting them
-    // elsewhere keeps every emitted record honest about what ran.
-    if (spec->mode != RunMode::Serve) {
-        if (!spec->faults.empty()) {
-            *error = "--faults injects into serve-mode requests; add "
-                     "--mode serve";
-            return false;
-        }
-        if (spec->deadlineMs > 0.0) {
-            *error = "--deadline-ms sets a serve-mode request "
-                     "deadline; add --mode serve";
-            return false;
-        }
-        if (spec->retries > 0) {
-            *error = "--retries is the serve-mode retry budget; add "
-                     "--mode serve";
-            return false;
-        }
-        if (!spec->shed) {
-            *error = "--shed off disables serve-mode load shedding; "
-                     "add --mode serve";
-            return false;
-        }
-    }
-    if (!spec->fuseKernels) {
-        // Autotuning and the perf-db only exist on the fused path;
-        // rejecting them keeps records honest about what ran.
-        if (spec->autotune != solver::AutotuneMode::Off) {
-            *error = strfmt("--autotune %s searches over fused-kernel "
-                            "solvers; add --fusion on",
-                            solver::autotuneModeName(spec->autotune));
-            return false;
-        }
-        if (!spec->perfdb.empty()) {
-            *error = "--perfdb names the fused-kernel autotuning "
-                     "cache; add --fusion on";
-            return false;
-        }
-    }
-    if (spec->mode == RunMode::Train &&
-        (spec->dtype == tensor::DType::I8 ||
-         spec->dtype == tensor::DType::F16)) {
-        // i8/f16 have no backward kernels and no master-weight story;
-        // rejecting the combination keeps every emitted record honest.
-        // bf16 is allowed: training keeps f32 master weights and only
-        // the eval passes reduce.
-        *error = strfmt("--dtype %s is inference-only; use --mode "
-                        "infer/serve, or --dtype bf16 (f32 master "
-                        "weights) for reduced-precision training",
-                        tensor::dtypeName(spec->dtype));
-        return false;
-    }
-    if (spec->autotune == solver::AutotuneMode::Force) {
-        // Force always re-searches and re-writes the perf-db, so an
-        // unwritable existing db can only end in lost results — fail
-        // at parse time with a clear message instead. Permission bits
-        // via stat(), not access(): access(W_OK) is always 0 for root.
-        const std::string path = solver::resolvePerfDbPath(spec->perfdb);
-        struct stat st;
-        if (::stat(path.c_str(), &st) == 0 &&
-            (st.st_mode & (S_IWUSR | S_IWGRP | S_IWOTH)) == 0) {
-            *error = strfmt(
-                "--autotune force must rewrite the perf-db, but '%s' "
-                "is read-only; make it writable or pass --perfdb with "
-                "a writable path", path.c_str());
-            return false;
-        }
-    }
-    if (!spec->faults.empty()) {
-        // Grammar check at parse time: the seed doesn't affect whether
-        // a spec parses, so any seed validates the grammar.
-        pipeline::FaultPlan plan;
-        std::string fault_error;
-        if (!pipeline::parseFaultPlan(spec->faults, spec->seed, &plan,
-                                      &fault_error)) {
-            *error = strfmt("--faults: %s", fault_error.c_str());
-            return false;
-        }
-    }
-    if (!spec->workload.empty() &&
-        !models::WorkloadRegistry::instance().find(spec->workload)) {
-        *error = strfmt(
-            "unknown workload '%s' (known: %s)", spec->workload.c_str(),
-            join(models::WorkloadRegistry::instance().names(), ", ")
-                .c_str());
-        return false;
-    }
-    return true;
+    *error = validateRunSpec(*spec);
+    return error->empty();
 }
 
 } // namespace
@@ -686,90 +523,60 @@ parseRunSpecs(const std::vector<std::string> &args,
     specs->clear();
     error->clear();
 
-    // Locate sweepable flags and split their comma lists; everything
-    // else passes through untouched.
-    std::vector<std::string> batches = {""};
-    std::vector<std::string> threads = {""};
-    std::vector<std::string> scales = {""};
-    std::vector<std::string> rates = {""};
-    std::vector<std::string> dtypes = {""};
+    // Split each sweep flag's comma list (its last occurrence wins);
+    // everything else passes through untouched.
+    const std::vector<SpecFlag> &flags = specFlags();
+    std::vector<std::vector<std::string>> sweeps(flags.size());
     std::vector<std::string> rest;
     for (size_t i = 0; i < args.size(); ++i) {
-        const std::string &flag = args[i];
-        const bool sweepable = flag == "--batch" || flag == "--threads" ||
-                               flag == "--scale" || flag == "--rate" ||
-                               flag == "--dtype";
-        if (!sweepable) {
-            rest.push_back(flag);
+        const SpecFlag *flag = findFlag(args[i]);
+        if (!flag || !flag->sweeps) {
+            rest.push_back(args[i]);
             continue;
         }
         if (i + 1 >= args.size()) {
-            *error = strfmt("flag '%s' is missing its value",
-                            flag.c_str());
+            *error = strfmt("flag '%s' is missing its value", flag->name);
             return false;
         }
-        const std::vector<std::string> values = split(args[++i], ',');
+        std::vector<std::string> values = split(args[++i], ',');
         if (values.empty()) {
-            *error = strfmt("flag '%s' has an empty value", flag.c_str());
+            *error = strfmt("flag '%s' has an empty value", flag->name);
             return false;
         }
         for (const std::string &value : values) {
             if (value.empty()) {
                 *error = strfmt("flag '%s' has an empty sweep entry",
-                                flag.c_str());
+                                flag->name);
                 return false;
             }
         }
-        if (flag == "--batch")
-            batches = values;
-        else if (flag == "--threads")
-            threads = values;
-        else if (flag == "--scale")
-            scales = values;
-        else if (flag == "--rate")
-            rates = values;
-        else
-            dtypes = values;
+        sweeps[static_cast<size_t>(flag - flags.data())] =
+            std::move(values);
     }
 
-    // Cross-product, batch-major: every sink sees batches grouped
-    // together, then threads, then scales, then offered rates, then
-    // dtypes (innermost, so precision variants of one configuration
-    // land adjacent in the stream).
-    for (const std::string &b : batches) {
-        for (const std::string &t : threads) {
-            for (const std::string &s : scales) {
-                for (const std::string &r : rates) {
-                    for (const std::string &d : dtypes) {
-                        std::vector<std::string> single = rest;
-                        if (!b.empty()) {
-                            single.push_back("--batch");
-                            single.push_back(b);
-                        }
-                        if (!t.empty()) {
-                            single.push_back("--threads");
-                            single.push_back(t);
-                        }
-                        if (!s.empty()) {
-                            single.push_back("--scale");
-                            single.push_back(s);
-                        }
-                        if (!r.empty()) {
-                            single.push_back("--rate");
-                            single.push_back(r);
-                        }
-                        if (!d.empty()) {
-                            single.push_back("--dtype");
-                            single.push_back(d);
-                        }
-                        RunSpec spec;
-                        if (!parseRunSpec(single, &spec, error))
-                            return false;
-                        specs->push_back(std::move(spec));
-                    }
-                }
+    // Cross-product in table order: each sweep nests inside the ones
+    // above it, so batches stay grouped for every sink and dtype
+    // (last) varies fastest, landing a configuration's precision
+    // variants adjacent in the stream.
+    std::vector<std::vector<std::string>> variants = {rest};
+    for (size_t f = 0; f < flags.size(); ++f) {
+        if (sweeps[f].empty())
+            continue;
+        std::vector<std::vector<std::string>> nested;
+        for (const std::vector<std::string> &variant : variants) {
+            for (const std::string &value : sweeps[f]) {
+                nested.push_back(variant);
+                nested.back().insert(nested.back().end(),
+                                     {flags[f].name, value});
             }
         }
+        variants = std::move(nested);
+    }
+    for (const std::vector<std::string> &variant : variants) {
+        RunSpec spec;
+        if (!parseRunSpec(variant, &spec, error))
+            return false;
+        specs->push_back(std::move(spec));
     }
     return true;
 }

@@ -4,10 +4,9 @@
  * workload, fusion implementation, mode, batch size, thread count,
  * size scale, seed, warmup/measure repetitions, scheduler policy and
  * (serve mode) concurrency. One RunSpec fully determines a run; the
- * mmbench CLI parses its flags into a RunSpec and the flags round-trip
- * through toArgs(). Comma-separated sweep values on --batch/--threads/
- * --scale/--rate/--dtype expand into the cross-product of RunSpecs via
- * parseRunSpecs().
+ * mmbench CLI parses its flags into a RunSpec through one flag table
+ * (specFlags()), which also drives sweep expansion and the flag block
+ * of `mmbench help`.
  */
 
 #ifndef MMBENCH_RUNNER_RUNSPEC_HH
@@ -120,24 +119,49 @@ struct RunSpec
 
     /** Resolve the device name ("2080ti" / "nano" / "orin"). */
     sim::DeviceModel deviceModel() const;
-
-    /** Canonical flag list that parses back to this spec. */
-    std::vector<std::string> toArgs() const;
-
-    /** One-line human-readable summary. */
-    std::string toString() const;
 };
 
+/** One RunSpec flag: the parser, sweeps and usage text all read it. */
+struct SpecFlag
+{
+    const char *name;  ///< "--batch"
+    const char *value; ///< value placeholder in the usage text
+    const char *help;  ///< one usage line
+    bool sweeps;       ///< takes a comma-separated sweep list
+    /**
+     * Parse `value` into *spec, range-checked against the field it
+     * fills; returns "" or an error that names the flag.
+     */
+    std::string (*set)(const char *flag, const std::string &value,
+                       RunSpec *spec);
+};
+
+/** Every RunSpec flag, in usage order (sweeps nest in this order). */
+const std::vector<SpecFlag> &specFlags();
+
 /**
- * Parse CLI flags ("--workload", "--fusion", "--mode", "--batch",
- * "--threads", "--scale", "--seed", "--warmup", "--repeat",
- * "--device", "--sched", "--inflight", "--requests", "--arrival",
- * "--rate", "--max-batch", "--batch-wait-us", "--classes",
- * "--faults", "--queue-cap", "--deadline-ms", "--retries", "--shed",
- * "--dtype") into *spec. Flags not present keep the spec's current
- * values, so callers can pre-seed defaults. Fails with a message in
- * *error on unknown flags, malformed values, or unknown
- * workload/fusion/device names; the workload must name a registered
+ * The cross-flag checks both the parser and runOne apply: returns ""
+ * when the spec describes a run that executes as labeled, else the
+ * reason, naming the flags involved. An empty workload passes (spec
+ * templates fill it in later); any other must be registered. The
+ * serve-loop rules are validateServeOptions' (on serveLoopOptions()),
+ * which outside serve mode sees a closed loop.
+ */
+std::string validateRunSpec(const RunSpec &spec);
+
+/**
+ * The serve loop a spec describes, before runServe clamps `inflight`
+ * to the thread count. `classes` is the parsed spec.classes (empty =
+ * classless) and must outlive the returned options.
+ */
+pipeline::ServeLoopOptions serveLoopOptions(
+    const RunSpec &spec, const pipeline::ClassPlan *classes);
+
+/**
+ * Parse spec flags (see specFlags()) into *spec. Flags not present
+ * keep the spec's current values, so callers can pre-seed defaults.
+ * Fails with a message in *error on an unknown flag, a missing or
+ * out-of-range value, a spec validateRunSpec rejects, or a missing
  * workload. The deprecated `--pipeline on|off` and `--batcher
  * static|continuous` still parse: their value is checked, a warning
  * is printed, and the spec is left as it was.
@@ -154,10 +178,10 @@ bool parseRunSpecTemplate(const std::vector<std::string> &args,
                           RunSpec *spec, std::string *error);
 
 /**
- * Sweep-aware parse: comma-separated lists on --batch, --threads,
- * --scale, --rate and --dtype expand into the cross-product of
- * RunSpecs (batch-major, then threads, then scale, then rate, then
- * dtype). A plain spec yields exactly one entry.
+ * Sweep-aware parse: comma-separated lists on the flags marked
+ * `sweeps` expand into the cross-product of RunSpecs, nested in table
+ * order (batch-major, dtype innermost). A plain spec yields exactly
+ * one entry.
  */
 bool parseRunSpecs(const std::vector<std::string> &args,
                    std::vector<RunSpec> *specs, std::string *error);

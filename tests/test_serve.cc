@@ -537,6 +537,11 @@ TEST(ServeValidation, RejectsUnrunnableOptions)
     bad = options;
     bad.batchWaitUs = 100.0;
     EXPECT_FALSE(pipeline::validateServeOptions(8, bad).empty());
+    // ... and no arrival schedule for a rate to set.
+    bad = options;
+    bad.rateRps = 100.0;
+    EXPECT_NE(pipeline::validateServeOptions(8, bad).find("--rate"),
+              std::string::npos);
 
     // Open loop needs a rate.
     bad = options;
@@ -546,7 +551,13 @@ TEST(ServeValidation, RejectsUnrunnableOptions)
     EXPECT_TRUE(pipeline::validateServeOptions(8, bad).empty());
     bad.queueCap = 4; // fine under open loop
     EXPECT_TRUE(pipeline::validateServeOptions(8, bad).empty());
-    bad.batchWaitUs = 100.0; // so is a batch hold, with no other knob
+    // A batch hold only runs while a batch is below maxBatch, so at
+    // maxBatch 1 it would be recorded but never hold anything.
+    bad.batchWaitUs = 100.0;
+    const std::string hold = pipeline::validateServeOptions(8, bad);
+    EXPECT_NE(hold.find("--batch-wait-us"), std::string::npos) << hold;
+    EXPECT_NE(hold.find("--max-batch"), std::string::npos) << hold;
+    bad.maxBatch = 2;
     EXPECT_TRUE(pipeline::validateServeOptions(8, bad).empty());
 
     bad.deadlineUs = -1.0;
@@ -896,8 +907,11 @@ TEST(RequestClasses, RejectsMalformedSpecs)
          {":share=1",              // empty name
           "a:share=0",             // share must be positive
           "a:share=-2",            // ditto
+          "a:share=inf",           // share must be finite
           "a:share=1:prio=x",      // non-numeric priority
+          "a:share=1:prio=99999999999", // priority beyond an int
           "a:share=1:deadline_ms=-5", // negative deadline
+          "a:share=1:deadline_ms=inf", // deadline must be finite
           "a:share=1:nope=3",      // unknown key
           "a:share=1;a:share=2"})  // duplicate name
         EXPECT_FALSE(pipeline::parseClassPlan(spec, &plan, &error))

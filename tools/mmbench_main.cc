@@ -6,24 +6,16 @@
  * figure/table through the experiment registry.
  *
  *   mmbench list [--json]
- *   mmbench run --workload av-mnist --fusion tensor --batch 8
- *               [--mode infer|train|serve] [--threads N] [--scale F]
- *               [--seed N] [--warmup N] [--repeat N]
- *               [--device 2080ti|nano|orin]
- *               [--sched sequential|parallel]
- *               [--inflight N] [--requests N]
- *               [--arrival closed|poisson|fixed] [--rate R]
- *               [--max-batch N] [--batch-wait-us U] [--classes SPEC]
- *               [--faults SPEC] [--queue-cap N] [--deadline-ms D]
- *               [--retries N] [--shed on|off]
+ *   mmbench run --workload av-mnist [spec flags]
  *               [--json PATH|-] [--csv PATH] [--quiet]
  *   mmbench run --smoke [spec template flags] [--json PATH|-] ...
  *   mmbench fig --id fig06 | --list | --all  [--smoke]
  *               [--json PATH] [--csv PATH]
+ *   mmbench help
  *
- * Comma-separated sweep lists on --batch/--threads/--scale/--rate
- * expand into the cross-product of RunSpecs, all fed to the same
- * sinks.
+ * `mmbench help` lists the spec flags, printed from the RunSpec flag
+ * table (runner::specFlags()), including which ones take
+ * comma-separated sweep lists.
  */
 
 #include <cstdio>
@@ -57,63 +49,15 @@ usage(FILE *to)
         "\n"
         "commands:\n"
         "  list [--json]           registered workloads and experiments\n"
-        "  run  [spec flags]       run RunSpecs on the shared runner\n"
-        "       --workload NAME    registered workload (required unless "
-        "--smoke)\n"
-        "       --fusion KIND      fusion implementation (default: the\n"
-        "                          workload's canonical fusion)\n"
-        "       --mode MODE        infer (default), train or serve\n"
-        "       --batch N[,N...]   batch size sweep (default 8)\n"
-        "       --threads N[,N...] worker-thread sweep (default: pool)\n"
-        "       --scale F[,F...]   size-scale sweep (default 1.0)\n"
-        "       --seed N           weights/data seed (default 42)\n"
-        "       --warmup N         untimed repetitions (default 1)\n"
-        "       --repeat N         timed repetitions (default 5)\n"
-        "       --device NAME      2080ti (default), nano, orin\n"
-        "       --sched POLICY     stage-graph scheduler: sequential\n"
-        "                          (default) or parallel\n"
-        "       --inflight N       serve mode: concurrent requests "
-        "(default 4)\n"
-        "       --requests N       serve mode: total requests "
-        "(default 8x inflight)\n"
-        "       --arrival KIND     serve mode: closed (default) or "
-        "open-loop\n"
-        "                          poisson / fixed arrivals\n"
-        "       --rate R[,R...]    open loop: offered requests/second "
-        "sweep\n"
-        "       --max-batch N      open loop: serve up to N queued\n"
-        "                          requests as one batch (default 1)\n"
-        "       --batch-wait-us U  open loop: hold an under-filled "
-        "batch\n"
-        "                          up to U us for late arrivals "
-        "(default 0)\n"
-        "       --classes SPEC     open loop: SLO request classes, "
-        "e.g.\n"
-        "                          'interactive:share=1:prio=1:"
-        "deadline_ms=50;batch:share=3'\n"
-        "       --faults SPEC      serve mode: deterministic fault "
-        "injection,\n"
-        "                          e.g. 'slow:node=encoder:*:p=0.05:x=4;"
-        "fail:node=fusion:p=0.01;drop_modality:mod=image:p=0.05'\n"
-        "       --queue-cap N      open loop: shed oldest arrivals "
-        "beyond N\n"
-        "                          queued (default 0 = unbounded)\n"
-        "       --deadline-ms D    serve mode: per-request deadline; "
-        "expired\n"
-        "                          requests shed at dequeue, late ones "
-        "count\n"
-        "                          as timeouts (default 0 = none)\n"
-        "       --retries N        serve mode: retry budget after an "
-        "injected\n"
-        "                          failure, exponential backoff "
-        "(default 0)\n"
-        "       --shed on|off      serve mode: load shedding + "
-        "degradation\n"
-        "                          under deadline pressure (default on)\n"
-        "       --pipeline on|off, --batcher static|continuous\n"
-        "                          deprecated: accepted with a warning "
-        "and\n"
-        "                          ignored\n"
+        "  run  [spec flags]       run RunSpecs on the shared runner; "
+        "lists on\n"
+        "                          X[,X...] flags sweep the cross-product\n");
+    for (const runner::SpecFlag &flag : runner::specFlags())
+        std::fprintf(to, "       %-18s %s\n",
+                     (std::string(flag.name) + " " + flag.value).c_str(),
+                     flag.help);
+    std::fprintf(
+        to,
         "       --json PATH        append JSON Lines results ('-' = "
         "stdout)\n"
         "       --csv PATH         write CSV results\n"
